@@ -99,11 +99,12 @@ int main(int argc, char** argv) {
     std::size_t max_threads = 1;
     for (double td : thread_list)
       max_threads = std::max(max_threads, static_cast<std::size_t>(td));
-    Scheduler::instance().configure(
-        static_cast<std::size_t>(
-            flags.get_int("thread-budget",
-                          static_cast<std::int64_t>(max_threads))),
-        1);
+    const auto thread_budget = static_cast<std::size_t>(flags.get_int(
+        "thread-budget", static_cast<std::int64_t>(max_threads)));
+    const std::size_t jobs =
+        static_cast<std::size_t>(flags.get_int("jobs", 4));
+    flags.reject_unread();
+    Scheduler::instance().configure(thread_budget, 1);
 
     std::cout << "== Table: epoch wall time vs num_threads (" << clients
               << " clients, " << iterations << " iters/epoch)\n";
@@ -133,8 +134,6 @@ int main(int argc, char** argv) {
     // concurrent scheduler trials (auto fan-out drawing from the shared
     // budget, stealing on) must reproduce the serial parameters
     // bit-for-bit.
-    const std::size_t jobs =
-        static_cast<std::size_t>(flags.get_int("jobs", 4));
     Scheduler::instance().configure(max_threads, jobs);
     std::vector<nn::ParamVec> per_trial(jobs);
     Scheduler::instance().run_trials(jobs, [&](std::size_t i) {

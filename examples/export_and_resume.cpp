@@ -22,15 +22,24 @@ int main(int argc, char** argv) {
   obs::ObsSession session(flags, "info");
 
   const std::string dir = flags.get_string("dir", "/tmp");
+  const auto samples = static_cast<std::size_t>(flags.get_int("samples", 400));
+  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 4));
+  harness::ScenarioConfig cfg;
+  cfg.num_clients = static_cast<std::size_t>(flags.get_int("clients", 10));
+  cfg.n_min = 3;
+  cfg.budget = flags.get_double("budget", 150.0);
+  cfg.max_epochs = static_cast<std::size_t>(flags.get_int("epochs", 6));
+  cfg.width_scale = flags.get_double("scale", 0.06);
+  cfg.seed = seed;
+  flags.reject_unread();
+
   const std::string img = dir + "/fedl_demo-images-idx3-ubyte";
   const std::string lab = dir + "/fedl_demo-labels-idx1-ubyte";
   const std::string ckpt = dir + "/fedl_demo_model.bin";
   std::remove(ckpt.c_str());
 
   // 1) Export a synthetic dataset in IDX format and read it back.
-  data::SyntheticSpec spec = data::fmnist_like_spec(
-      static_cast<std::size_t>(flags.get_int("samples", 400)),
-      static_cast<std::uint64_t>(flags.get_int("seed", 4)));
+  data::SyntheticSpec spec = data::fmnist_like_spec(samples, seed);
   spec.noise_stddev = 0.25;  // keep pixels mostly in [0,1] for 8-bit export
   spec.signal_scale = 0.3;
   data::Dataset original = data::make_synthetic(spec);
@@ -41,14 +50,7 @@ int main(int argc, char** argv) {
 
   // 2) Run a budgeted FL session in two halves, checkpointing the global
   //    model between them.
-  harness::ScenarioConfig cfg;
-  cfg.num_clients = static_cast<std::size_t>(flags.get_int("clients", 10));
-  cfg.n_min = 3;
-  cfg.budget = flags.get_double("budget", 150.0);
-  cfg.max_epochs = static_cast<std::size_t>(flags.get_int("epochs", 6));
   cfg.train_samples = reloaded.size();
-  cfg.width_scale = flags.get_double("scale", 0.06);
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 4));
   cfg.checkpoint_path = ckpt;
 
   harness::Experiment exp(cfg);

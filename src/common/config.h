@@ -1,7 +1,9 @@
 // Command-line flag parsing for benches and examples.
 //
 // Flags are "--key=value" or "--key value"; "--flag" alone sets a boolean.
-// Unknown flags raise ConfigError so typos in sweep scripts fail loudly.
+// A program reads every flag it accepts, then calls reject_unread(): any
+// flag left over is unknown and raises ConfigError, so typos in sweep
+// scripts fail loudly instead of silently running the defaults.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +33,9 @@ class Flags {
 
   // Keys that were parsed but never read; callers can warn on leftovers.
   std::vector<std::string> unread_keys() const;
+
+  // Throws ConfigError naming every key that was parsed but never read.
+  void reject_unread() const;
 
  private:
   std::optional<std::string> raw(const std::string& key) const;

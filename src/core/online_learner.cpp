@@ -294,19 +294,19 @@ FractionalDecision OnlineLearner::decide(const sim::EpochContext& ctx,
   step.beta = cfg_.beta;
   step.mu = mu_local_;
   step.h = [w, &eta, &delta, last_loss, theta, n_d](
-               const std::vector<double>& phi) {
-    std::vector<double> h(w + 1);
+               const std::vector<double>& phi, std::vector<double>& h) {
+    h.resize(w + 1);
     const double rho = phi[w];
     double gain = 0.0;
     for (std::size_t i = 0; i < w; ++i) gain += phi[i] * delta[i];
     h[0] = last_loss - (rho / n_d) * gain - theta;          // h^0
     for (std::size_t i = 0; i < w; ++i)
       h[i + 1] = eta[i] * phi[i] * rho - rho + 1.0;          // h^k
-    return h;
   };
   step.h_grad_mu = [w, &eta, &delta, n_d](const std::vector<double>& phi,
-                                          const std::vector<double>& mu) {
-    std::vector<double> g(w + 1, 0.0);
+                                          const std::vector<double>& mu,
+                                          std::vector<double>& g) {
+    g.assign(w + 1, 0.0);
     const double rho = phi[w];
     double gain = 0.0;
     for (std::size_t i = 0; i < w; ++i) {
@@ -317,7 +317,6 @@ FractionalDecision OnlineLearner::decide(const sim::EpochContext& ctx,
       g[w] += mu[i + 1] * (eta[i] * phi[i] - 1.0);
     }
     g[w] += -mu[0] * gain / n_d;  // ∂h^0/∂ρ
-    return g;
   };
 
   solver::ProxSolverOptions opts;

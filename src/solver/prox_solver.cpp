@@ -47,7 +47,11 @@ ProxSolverResult minimize_projected(const FeasibleSet& set,
   FEDL_CHECK_EQ(x0.size(), set.dim());
   ProxSolverResult res;
   SolveRecord record(res);  // flushes iteration telemetry on every exit path
-  res.x = project_intersection(set, std::move(x0), opts.projection);
+  // Buffers reused by every projection and backtracking step.
+  ProjectionWorkspace ws;
+  std::vector<double> candidate;
+  res.x = std::move(x0);
+  project_intersection(set, res.x, ws, opts.projection);
 
   std::vector<double> grad(res.x.size());
   double value = objective(res.x, &grad);
@@ -59,14 +63,13 @@ ProxSolverResult minimize_projected(const FeasibleSet& set,
     // Backtracking projected-gradient step: candidate = P(x − step·∇),
     // accept when the Armijo condition holds along the *projected* direction.
     bool accepted = false;
-    std::vector<double> candidate;
     double cand_value = 0.0;
     double local_step = step;
     for (std::size_t bt = 0; bt < opts.max_backtracks; ++bt) {
       candidate = res.x;
       for (std::size_t i = 0; i < candidate.size(); ++i)
         candidate[i] -= local_step * grad[i];
-      candidate = project_intersection(set, std::move(candidate), opts.projection);
+      project_intersection(set, candidate, ws, opts.projection);
 
       // Projected direction d = candidate − x; Armijo on g(x)·d.
       double gd = 0.0;
@@ -102,7 +105,7 @@ ProxSolverResult minimize_projected(const FeasibleSet& set,
       const double d = candidate[i] - res.x[i];
       move_sq += d * d;
     }
-    res.x = std::move(candidate);
+    res.x.swap(candidate);
     value = objective(res.x, &grad);
     // Mild step recovery: successful steps let the step size grow back.
     step = std::min(opts.initial_step, local_step * 2.0);
@@ -128,21 +131,24 @@ Objective LinearizedStep::make_objective() const {
   auto mu_c = mu;
   const double beta_c = beta;
 
-  return [grad_f_c, anchor_c, h_c, hg_c, mu_c, beta_c](
-             const std::vector<double>& x, std::vector<double>* grad) {
+  std::vector<double> hx;
+  std::vector<double> hg;
+
+  return [grad_f_c, anchor_c, h_c, hg_c, mu_c, beta_c, hx, hg](
+             const std::vector<double>& x, std::vector<double>* grad) mutable {
     FEDL_CHECK_EQ(x.size(), anchor_c.size());
     double value = 0.0;
     for (std::size_t i = 0; i < x.size(); ++i) {
       const double dx = x[i] - anchor_c[i];
       value += grad_f_c[i] * dx + dx * dx / (2.0 * beta_c);
     }
-    const std::vector<double> hx = h_c(x);
+    h_c(x, hx);
     FEDL_CHECK_EQ(hx.size(), mu_c.size());
     value += dot(mu_c, hx);
 
     if (grad) {
       grad->assign(x.size(), 0.0);
-      const std::vector<double> hg = hg_c(x, mu_c);
+      hg_c(x, mu_c, hg);
       FEDL_CHECK_EQ(hg.size(), x.size());
       for (std::size_t i = 0; i < x.size(); ++i) {
         (*grad)[i] = grad_f_c[i] + (x[i] - anchor_c[i]) / beta_c + hg[i];

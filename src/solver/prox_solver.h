@@ -55,13 +55,17 @@ struct LinearizedStep {
   std::vector<double> anchor;   // Φ_t
   double beta = 0.1;            // proximal step size β
 
-  // h(Φ) and ∇(μ·h)(Φ): callers encode the constraint structure.
-  std::function<std::vector<double>(const std::vector<double>&)> h;
-  std::function<std::vector<double>(const std::vector<double>&,
-                                    const std::vector<double>& mu)>
+  // h(Φ) and ∇(μ·h)(Φ), written into `out` (sized by the callee): callers
+  // encode the constraint structure.
+  std::function<void(const std::vector<double>& phi, std::vector<double>& out)>
+      h;
+  std::function<void(const std::vector<double>& phi,
+                     const std::vector<double>& mu, std::vector<double>& out)>
       h_grad_mu;
   std::vector<double> mu;       // Lagrange multipliers (size of h output)
 
+  // The returned Objective keeps its h / ∇(μ·h) buffers between calls, so
+  // one copy must not be called from two threads at once.
   Objective make_objective() const;
 };
 

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
 
 #include "common/config.h"
 #include "common/csv.h"
@@ -385,6 +386,22 @@ TEST(Flags, UnreadKeysReported) {
   const auto leftover = f.unread_keys();
   ASSERT_EQ(leftover.size(), 1u);
   EXPECT_EQ(leftover[0], "unused");
+}
+
+TEST(Flags, RejectUnreadNamesEveryUnknownFlag) {
+  const char* argv[] = {"prog", "--iters=2", "--iterations=5", "--thread=3"};
+  Flags f(4, argv);
+  (void)f.get_int("iters", 0);
+  try {
+    f.reject_unread();
+    FAIL() << "unread flags were accepted";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("--iterations"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("--thread"), std::string::npos);
+  }
+  (void)f.get_int("iterations", 0);
+  (void)f.get_int("thread", 0);
+  EXPECT_NO_THROW(f.reject_unread());
 }
 
 // --- math_util ------------------------------------------------------------------

@@ -1,12 +1,21 @@
 // Tests for the convex solver substrate: closed-form projections, Dykstra's
-// algorithm against brute-force projection, and the projected proximal
-// solver against exhaustive grid search — validating the IPOPT substitution
-// (DESIGN.md §5.3).
+// algorithm against brute-force projection, the projected proximal solver
+// against exhaustive grid search — validating the IPOPT substitution
+// (DESIGN.md §5.3) — and the bracket-replay multiplier solve against the
+// plain evaluate-every-step projection, bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 
+#include "common/math_util.h"
 #include "common/rng.h"
+#include "core/fedl_strategy.h"
+#include "obs/digest.h"
+#include "obs/metrics.h"
+#include "sim/environment.h"
 #include "solver/projection.h"
 #include "solver/prox_solver.h"
 
@@ -244,24 +253,22 @@ TEST(LinearizedStepBuilder, GradientMatchesFiniteDifference) {
   step.beta = 0.25;
   step.mu = {1.5, 0.7, 0.0, 0.2};
   // h with bilinear structure mimicking h^0/h^k.
-  step.h = [k](const std::vector<double>& x) {
-    std::vector<double> h(k + 1);
+  step.h = [k](const std::vector<double>& x, std::vector<double>& h) {
+    h.resize(k + 1);
     const double rho = x[k];
     h[0] = 1.0 - 0.3 * (x[0] + x[1] + x[2]) * rho;
     for (std::size_t i = 0; i < k; ++i)
       h[i + 1] = 0.5 * x[i] * rho - rho + 1.0;
-    return h;
   };
   step.h_grad_mu = [k](const std::vector<double>& x,
-                       const std::vector<double>& mu) {
-    std::vector<double> g(k + 1, 0.0);
+                       const std::vector<double>& mu, std::vector<double>& g) {
+    g.assign(k + 1, 0.0);
     const double rho = x[k];
     for (std::size_t i = 0; i < k; ++i) {
       g[i] = -mu[0] * 0.3 * rho + mu[i + 1] * 0.5 * rho;
       g[k] += mu[i + 1] * (0.5 * x[i] - 1.0);
     }
     g[k] += -mu[0] * 0.3 * (x[0] + x[1] + x[2]);
-    return g;
   };
 
   const auto obj = step.make_objective();
@@ -288,6 +295,300 @@ TEST(ProxSolver, InfeasibleStartIsProjectedFirst) {
   };
   const auto res = minimize_projected(set, {5.0, -3.0}, obj);
   EXPECT_TRUE(set.contains(res.x, 1e-9));
+}
+
+// --- bit-identical multiplier replay ------------------------------------
+
+// The projection as it was before the multiplier solve replayed its
+// bisection from a monotone bracket: g evaluated at every bracketing and
+// bisection step, both sweeps re-solved every multiplier. The oracle for
+// the parity tests below.
+namespace reference {
+
+double solve_multiplier(const std::vector<double>& lo,
+                        const std::vector<double>& hi, const Halfspace& h,
+                        const std::vector<double>& base) {
+  auto g = [&](double lambda) {
+    double v = 0.0;
+    for (std::size_t i = 0; i < base.size(); ++i)
+      v += h.a[i] * clamp(base[i] - lambda * h.a[i], lo[i], hi[i]);
+    return v - h.b;
+  };
+  if (g(0.0) <= 0.0) return 0.0;
+  double a_sq = 0.0;
+  for (double ai : h.a) a_sq += ai * ai;
+  if (a_sq == 0.0) return 0.0;  // degenerate: cannot fix by moving along a
+
+  double lo_l = 0.0;
+  double hi_l = 1.0 / a_sq;
+  for (int it = 0; it < 200 && g(hi_l) > 0.0; ++it) {
+    lo_l = hi_l;
+    hi_l *= 2.0;
+  }
+  for (int it = 0; it < 100; ++it) {
+    const double mid = 0.5 * (lo_l + hi_l);
+    (g(mid) > 0.0 ? lo_l : hi_l) = mid;
+  }
+  return 0.5 * (lo_l + hi_l);
+}
+
+void project_box_halfspace(const std::vector<double>& lo,
+                           const std::vector<double>& hi, const Halfspace& h,
+                           std::vector<double>& x) {
+  const double lambda = reference::solve_multiplier(lo, hi, h, x);
+  for (std::size_t i = 0; i < x.size(); ++i)
+    x[i] = clamp(x[i] - lambda * h.a[i], lo[i], hi[i]);
+}
+
+std::vector<double> project_intersection(const FeasibleSet& set,
+                                         std::vector<double> x,
+                                         const ProjectionOptions& opts,
+                                         bool* converged) {
+  const std::size_t n = x.size();
+  const std::size_t k = set.halfspaces.size();
+
+  if (k == 0) {
+    project_box(set.lo, set.hi, x);
+    if (converged) *converged = true;
+    return x;
+  }
+  if (k == 1) {
+    reference::project_box_halfspace(set.lo, set.hi, set.halfspaces[0], x);
+    if (converged) *converged = true;
+    return x;
+  }
+
+  const std::vector<double> y = x;
+  std::vector<double> lambda(k, 0.0);
+  std::vector<double> base(n);
+  bool ok = false;
+
+  bool stationary = false;
+  for (std::size_t sweep = 0; sweep < opts.max_sweeps; ++sweep) {
+    double max_change = 0.0;
+    for (std::size_t s = 0; s < k; ++s) {
+      for (std::size_t i = 0; i < n; ++i) {
+        double v = y[i];
+        for (std::size_t t = 0; t < k; ++t)
+          if (t != s) v -= lambda[t] * set.halfspaces[t].a[i];
+        base[i] = v;
+      }
+      const double new_lambda =
+          reference::solve_multiplier(set.lo, set.hi, set.halfspaces[s], base);
+      max_change = std::max(max_change, std::abs(new_lambda - lambda[s]));
+      lambda[s] = new_lambda;
+    }
+    if (max_change < opts.tolerance) {
+      stationary = true;
+      break;
+    }
+  }
+
+  for (std::size_t i = 0; i < n; ++i) {
+    double v = y[i];
+    for (std::size_t t = 0; t < k; ++t) v -= lambda[t] * set.halfspaces[t].a[i];
+    x[i] = clamp(v, set.lo[i], set.hi[i]);
+  }
+  ok = stationary || set.contains(x, 1e-7);
+  if (converged) *converged = ok && set.contains(x, 1e-6);
+  return x;
+}
+
+}  // namespace reference
+
+struct Instance {
+  FeasibleSet set;
+  std::vector<double> x;
+  ProjectionOptions opts;
+  bool non_finite = false;
+};
+
+// A random box ∩ k-halfspace projection problem: bounds with lo ≠ 0 and
+// lo == hi coordinates, normals of the budget (positive costs) and
+// participation (−1) shapes as well as mixed signs, zeros and magnitudes
+// across six orders, right-hand sides that cut the box or leave it empty,
+// sometimes few sweeps, and now and then one non-finite operand.
+Instance random_instance(Rng& rng) {
+  Instance in;
+  const std::size_t n = static_cast<std::size_t>(
+      rng.uniform() < 0.01 ? rng.uniform_int(200, 600) : rng.uniform_int(1, 64));
+  const std::size_t k = static_cast<std::size_t>(rng.uniform_int(1, 3));
+  FeasibleSet& set = in.set;
+  set.lo.resize(n);
+  set.hi.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    set.lo[i] = rng.uniform() < 0.5 ? 0.0 : rng.uniform(-2.0, 1.0);
+    set.hi[i] = set.lo[i] + (rng.uniform() < 0.1 ? 0.0 : rng.uniform(0.0, 3.0));
+  }
+  for (std::size_t s = 0; s < k; ++s) {
+    Halfspace h;
+    h.a.resize(n);
+    const std::int64_t shape = rng.uniform_int(0, 3);
+    for (std::size_t i = 0; i < n; ++i) {
+      switch (shape) {
+        case 0: h.a[i] = rng.uniform(0.1, 12.0); break;
+        case 1: h.a[i] = -1.0; break;
+        case 2: h.a[i] = rng.uniform() < 0.25 ? 0.0 : rng.normal(); break;
+        default:
+          h.a[i] = rng.uniform() < 0.2
+                       ? 0.0
+                       : (rng.uniform() < 0.5 ? -1.0 : 1.0) *
+                             std::exp(rng.uniform(-7.0, 7.0));
+      }
+    }
+    if (rng.uniform() < 0.3) h.a[n - 1] = 0.0;  // the ρ coordinate
+    double reach_lo = 0.0;  // min over the box of a·x
+    double at_point = 0.0;  // a·x at a random point of the box
+    for (std::size_t i = 0; i < n; ++i) {
+      reach_lo += std::min(h.a[i] * set.lo[i], h.a[i] * set.hi[i]);
+      at_point += h.a[i] * rng.uniform(set.lo[i], set.hi[i]);
+    }
+    h.b = rng.uniform() < 0.1 ? reach_lo - rng.uniform(0.1, 5.0)  // empty
+                              : at_point + rng.normal();
+    set.halfspaces.push_back(std::move(h));
+  }
+  in.x.resize(n);
+  for (std::size_t i = 0; i < n; ++i)
+    in.x[i] = rng.uniform(set.lo[i] - 2.0, set.hi[i] + 2.0);
+  if (rng.uniform() < 0.2) {
+    in.opts.max_sweeps = static_cast<std::size_t>(rng.uniform_int(1, 6));
+    in.opts.tolerance = rng.uniform() < 0.5 ? 1e-6 : 0.0;
+  }
+  if (rng.uniform() < 0.05) {
+    const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(),
+                          -std::numeric_limits<double>::infinity()};
+    const double v = bad[rng.uniform_int(0, 2)];
+    in.non_finite = true;
+    const std::size_t i = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    Halfspace& h = set.halfspaces[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(k) - 1))];
+    switch (rng.uniform_int(0, 4)) {
+      case 0: in.x[i] = v; break;
+      case 1: h.a[i] = v; break;
+      case 2: set.lo[i] = v; break;
+      case 3: set.hi[i] = v; break;
+      default: h.b = v;
+    }
+  }
+  return in;
+}
+
+bool same_bytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+std::uint64_t counter(const std::string& name) {
+  const auto counters = obs::MetricsRegistry::global().snapshot().counters;
+  const auto it = counters.find(name);
+  return it == counters.end() ? 0 : it->second;
+}
+
+TEST(MultiplierReplay, RandomInstancesMatchReferenceBitForBit) {
+  Rng rng(20221);
+  ProjectionWorkspace ws;  // shared across instances: reuse must not leak
+  std::size_t non_finite = 0;
+  std::size_t unconverged = 0;
+  for (int trial = 0; trial < 12000; ++trial) {
+    const Instance in = random_instance(rng);
+    bool ref_converged = false;
+    const std::vector<double> want =
+        reference::project_intersection(in.set, in.x, in.opts, &ref_converged);
+
+    bool converged = !ref_converged;
+    std::vector<double> got = in.x;
+    project_intersection(in.set, got, ws, in.opts, &converged);
+    ASSERT_TRUE(same_bytes(got, want)) << "trial " << trial;
+    ASSERT_EQ(converged, ref_converged) << "trial " << trial;
+
+    bool by_value = !ref_converged;
+    ASSERT_TRUE(same_bytes(
+        project_intersection(in.set, in.x, in.opts, &by_value), want))
+        << "trial " << trial;
+    ASSERT_EQ(by_value, ref_converged) << "trial " << trial;
+
+    non_finite += in.non_finite ? 1 : 0;
+    unconverged += ref_converged ? 0 : 1;
+  }
+  // The generator reaches the edge cases it claims to.
+  EXPECT_GT(non_finite, 50u);
+  EXPECT_GT(unconverged, 200u);
+}
+
+TEST(MultiplierReplay, NonFiniteInputEvaluatesEveryStep) {
+  // y_0 = NaN clamps to hi_0 = 1 exactly as y_0 = 5 does, so both problems
+  // have the same projection; only the finite one may skip evaluations.
+  FeasibleSet set;
+  set.lo.assign(4, 0.0);
+  set.hi.assign(4, 1.0);
+  set.halfspaces = {Halfspace{{1.0, 1.0, 1.0, 1.0}, 1.5}};
+  auto evals_for = [&](double y0, std::vector<double>* out) {
+    const std::uint64_t before = counter("solver.multiplier_evals");
+    *out = project_intersection(set, {y0, 0.9, 0.9, 0.9});
+    std::vector<double> want = {y0, 0.9, 0.9, 0.9};
+    reference::project_box_halfspace(set.lo, set.hi, set.halfspaces[0], want);
+    EXPECT_TRUE(same_bytes(*out, want)) << "y0 = " << y0;
+    return counter("solver.multiplier_evals") - before;
+  };
+  std::vector<double> with_nan;
+  std::vector<double> with_five;
+  const std::uint64_t nan_evals =
+      evals_for(std::numeric_limits<double>::quiet_NaN(), &with_nan);
+  const std::uint64_t finite_evals = evals_for(5.0, &with_five);
+  EXPECT_TRUE(same_bytes(with_nan, with_five));
+  // g(0), three bracket doublings and a bisection run to its fixed point.
+  EXPECT_GE(nan_evals, 50u);
+  EXPECT_LE(finite_evals, 15u);
+}
+
+// 100 epochs of exact FedL selection over a lazy M = 10⁵ roster with about
+// 1000 clients online, synthetic outcomes. The selection digest and the
+// prox solver's iteration total were recorded with the evaluate-every-step
+// projection; any change to a single multiplier shows up in one of them.
+TEST(MultiplierReplay, SelectionLoopMatchesRecordedDigest) {
+  constexpr std::size_t kClients = 100000;
+  constexpr std::size_t kNmin = 8;
+  sim::EnvironmentSpec spec;
+  spec.lazy_sampling = true;
+  spec.num_clients = kClients;
+  spec.expected_participants = kNmin;
+  spec.device.availability_prob = 1000.0 / static_cast<double>(kClients);
+  spec.device.seed = 38;
+  sim::EdgeEnvironment env(spec);
+  core::FedLConfig fc;
+  fc.learner.n_min = kNmin;
+  fc.seed = 98;
+  core::FedLStrategy strategy(kClients, fc);
+  core::BudgetLedger ledger(1e15);
+
+  const std::uint64_t iters_before = counter("solver.iterations");
+  std::uint64_t digest = obs::kFnvOffsetBasis;
+  for (std::size_t epoch = 0; epoch < 100; ++epoch) {
+    const sim::EpochContext& ctx = env.advance_epoch();
+    const core::Decision dec = strategy.decide(ctx, ledger);
+    fl::EpochOutcome out;
+    out.epoch = ctx.epoch;
+    out.selected = dec.selected;
+    out.num_iterations = std::max<std::size_t>(1, dec.num_iterations);
+    double cost = 0.0;
+    for (std::size_t i = 0; i < dec.selected.size(); ++i) {
+      cost += ctx.find(dec.selected[i])->cost;
+      out.client_eta.push_back(0.4 + 0.2 * static_cast<double>(i % 3));
+      out.client_loss_reduction.push_back(0.02 +
+                                          0.01 * static_cast<double>(i % 5));
+      out.client_completed_iters.push_back(out.num_iterations);
+    }
+    out.cost = cost;
+    out.train_loss_all = 2.303 / (1.0 + 0.05 * static_cast<double>(epoch));
+    ledger.charge(cost);
+    strategy.observe(ctx, dec, out);
+    digest = obs::fnv1a(dec.selected.data(),
+                        dec.selected.size() * sizeof(dec.selected[0]), digest);
+  }
+  EXPECT_EQ(obs::digest_hex(digest), "4415a70239ef4f28");
+  EXPECT_EQ(counter("solver.iterations") - iters_before, 1304u);
 }
 
 }  // namespace
