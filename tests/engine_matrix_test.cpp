@@ -5,14 +5,37 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
+#include <string>
 #include <tuple>
 
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "fl/engine.h"
+#include "net/bandwidth.h"
 #include "nn/factory.h"
 
-namespace fedl::fl {
+namespace fedl {
+
+// ctest names each matrix case after its printed parameter tuple; without
+// these the enums print as raw bytes.
+namespace fl {
+static void PrintTo(LocalUpdateRule rule, std::ostream* os) {
+  switch (rule) {
+    case LocalUpdateRule::kDane: *os << "dane"; break;
+    case LocalUpdateRule::kFedProx: *os << "fedprox"; break;
+    case LocalUpdateRule::kSgd: *os << "sgd"; break;
+  }
+}
+}  // namespace fl
+
+namespace net {
+static void PrintTo(BandwidthPolicy policy, std::ostream* os) {
+  *os << bandwidth_policy_name(policy);
+}
+}  // namespace net
+
+namespace fl {
 namespace {
 
 struct World {
@@ -52,7 +75,7 @@ struct World {
 };
 
 using MatrixParam =
-    std::tuple<LocalUpdateRule, const char* /*compressor*/,
+    std::tuple<LocalUpdateRule, std::string /*compressor*/,
                net::BandwidthPolicy>;
 
 class EngineMatrix : public ::testing::TestWithParam<MatrixParam> {};
@@ -91,7 +114,10 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(LocalUpdateRule::kDane, LocalUpdateRule::kFedProx,
                           LocalUpdateRule::kSgd),
-        ::testing::Values("none", "quant8", "topk10"),
+        // std::string, not const char*: gtest prints a char pointer's
+        // address, which differs per run.
+        ::testing::Values(std::string("none"), std::string("quant8"),
+                          std::string("topk10")),
         ::testing::Values(net::BandwidthPolicy::kEqual,
                           net::BandwidthPolicy::kMinMaxLatency)));
 
@@ -167,4 +193,5 @@ TEST(EngineInterplay, OptimizerVariantsProduceDifferentTrajectories) {
 }
 
 }  // namespace
-}  // namespace fedl::fl
+}  // namespace fl
+}  // namespace fedl

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 
 #include "core/fairness.h"
 #include "core/fedl_strategy.h"
@@ -195,6 +196,17 @@ struct SolverCase {
   fl::LocalUpdateRule rule;
   const char* optimizer;
 };
+
+// ctest names each case after this printout; gtest's default one dumps the
+// struct's raw bytes (padding and a string address), which differ per run.
+void PrintTo(const SolverCase& c, std::ostream* os) {
+  switch (c.rule) {
+    case fl::LocalUpdateRule::kDane: *os << "dane"; break;
+    case fl::LocalUpdateRule::kFedProx: *os << "fedprox"; break;
+    case fl::LocalUpdateRule::kSgd: *os << "sgd"; break;
+  }
+  *os << "_" << c.optimizer;
+}
 
 class LocalSolverVariants : public ::testing::TestWithParam<SolverCase> {};
 
