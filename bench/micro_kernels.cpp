@@ -1,7 +1,9 @@
-// A4: google-benchmark microbenchmarks for the hot kernels — GEMM, im2col
-// convolution, the DANE local step, the intersection projection, and RDCS.
+// A4: google-benchmark microbenchmarks for the hot kernels — GEMM, im2col/
+// col2im lowering, ReLU and max pooling, convolution, the DANE local step,
+// the intersection projection, and RDCS.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "common/rng.h"
@@ -10,7 +12,9 @@
 #include "core/rounding.h"
 #include "data/synthetic.h"
 #include "fl/dane.h"
+#include "nn/activations.h"
 #include "nn/factory.h"
+#include "nn/pool.h"
 #include "solver/projection.h"
 #include "tensor/gemm.h"
 #include "tensor/im2col.h"
@@ -105,16 +109,93 @@ void BM_GemmNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmNaive)->Arg(64)->Arg(128);
 
+// roster_grid's two conv layers (paper FMNIST CNN at width 0.08, batch 24):
+// arg 0 lowers 1 channel at 28x28 (conv 1, 3 output channels), arg 1
+// lowers 3 channels at 14x14 (conv 2, 5 output channels); 5x5 kernels,
+// same padding.
+constexpr std::size_t kRosterBatch = 24;
+
+Conv2dGeometry roster_conv(std::int64_t layer) {
+  return layer == 0 ? Conv2dGeometry{1, 28, 28, 5, 5, 1, 2}
+                    : Conv2dGeometry{3, 14, 14, 5, 5, 1, 2};
+}
+
+// Conv output shape feeding ReLU and pooling: [batch, C_out, H, W].
+Shape roster_activation(std::int64_t layer) {
+  return layer == 0 ? Shape{kRosterBatch, 3, 28, 28}
+                    : Shape{kRosterBatch, 5, 14, 14};
+}
+
+// Whole-batch lowering as Conv2d::forward does it: every sample into its
+// column slice of one [col_rows, batch*col_cols] buffer.
 void BM_Im2col(benchmark::State& state) {
-  Conv2dGeometry g{32, 28, 28, 5, 5, 1, 2};
-  std::vector<float> img(32 * 28 * 28, 1.0f);
-  std::vector<float> cols(g.col_rows() * g.col_cols());
+  const Conv2dGeometry g = roster_conv(state.range(0));
+  const std::size_t image = g.in_channels * g.in_h * g.in_w;
+  const std::size_t ld = kRosterBatch * g.col_cols();
+  Rng rng(6);
+  std::vector<float> img(kRosterBatch * image);
+  for (auto& v : img) v = static_cast<float>(rng.normal());
+  std::vector<float> cols(g.col_rows() * ld);
   for (auto _ : state) {
-    im2col(g, img.data(), cols.data());
+    for (std::size_t s = 0; s < kRosterBatch; ++s)
+      im2col(g, img.data() + s * image, cols.data() + s * g.col_cols(), ld);
     benchmark::DoNotOptimize(cols.data());
   }
 }
-BENCHMARK(BM_Im2col);
+BENCHMARK(BM_Im2col)->Arg(0)->Arg(1);
+
+// The adjoint, as Conv2d::backward runs it into a zeroed gradient batch.
+void BM_Col2im(benchmark::State& state) {
+  const Conv2dGeometry g = roster_conv(state.range(0));
+  const std::size_t image = g.in_channels * g.in_h * g.in_w;
+  const std::size_t ld = kRosterBatch * g.col_cols();
+  Rng rng(7);
+  std::vector<float> cols(g.col_rows() * ld);
+  for (auto& v : cols) v = static_cast<float>(rng.normal());
+  std::vector<float> grad(kRosterBatch * image);
+  for (auto _ : state) {
+    std::fill(grad.begin(), grad.end(), 0.0f);
+    for (std::size_t s = 0; s < kRosterBatch; ++s)
+      col2im(g, cols.data() + s * g.col_cols(), grad.data() + s * image, ld);
+    benchmark::DoNotOptimize(grad.data());
+  }
+}
+BENCHMARK(BM_Col2im)->Arg(0)->Arg(1);
+
+// Train-mode ReLU forward (mask + in-place clamp) and backward on
+// random-sign activations, where a branchy clamp mispredicts half the time.
+void BM_ReluTrain(benchmark::State& state) {
+  Rng rng(8);
+  const Tensor x = Tensor::uniform(roster_activation(state.range(0)), -1.0f,
+                                   1.0f, rng);
+  const Tensor grad = Tensor::uniform(x.shape(), -1.0f, 1.0f, rng);
+  nn::Relu relu;
+  for (auto _ : state) {
+    Tensor out = relu.forward(x, true);
+    Tensor g = relu.backward(grad);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::DoNotOptimize(g.data());
+  }
+}
+BENCHMARK(BM_ReluTrain)->Arg(0)->Arg(1);
+
+// Train-mode 2x2/2 max pooling forward (argmax recorded) and backward on
+// random-sign activations.
+void BM_MaxPoolTrain(benchmark::State& state) {
+  Rng rng(9);
+  const Tensor x = Tensor::uniform(roster_activation(state.range(0)), -1.0f,
+                                   1.0f, rng);
+  nn::MaxPool2d pool(2, 2);
+  const Tensor grad = Tensor::uniform(pool.forward(x, false).shape(), -1.0f,
+                                      1.0f, rng);
+  for (auto _ : state) {
+    Tensor out = pool.forward(x, true);
+    Tensor g = pool.backward(grad);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::DoNotOptimize(g.data());
+  }
+}
+BENCHMARK(BM_MaxPoolTrain)->Arg(0)->Arg(1);
 
 void BM_CnnForward(benchmark::State& state) {
   Rng rng(2);

@@ -1,6 +1,7 @@
 // Capacity planning with the FedL public API: given a target accuracy,
 // sweep candidate budgets, report the horizon bounds T_C from the paper's
 // formula, and find the smallest budget that reaches the target.
+#include <exception>
 #include <iostream>
 
 #include "common/config.h"
@@ -10,7 +11,9 @@
 #include "harness/experiment.h"
 #include "obs/session.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace fedl;
   Flags flags(argc, argv);
   obs::ObsSession session(flags, "warn");
@@ -67,4 +70,17 @@ int main(int argc, char** argv) {
     std::cout << "No evaluated budget reaches the target; raise the budget "
                  "range or lower the target.\n";
   return 0;
+}
+
+}  // namespace
+
+// Any error (a malformed or unknown flag included) ends the run with a
+// message and exit code 1, as in the benches.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "example failed: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -5,6 +5,7 @@
 //
 // The example runs FedL against the paper roster on this scenario and shows
 // how FedL's learned per-client preferences track the drift.
+#include <exception>
 #include <iostream>
 
 #include "common/config.h"
@@ -15,7 +16,9 @@
 #include "harness/report.h"
 #include "obs/session.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace fedl;
   Flags flags(argc, argv);
   obs::ObsSession session(flags, "info");
@@ -66,4 +69,17 @@ int main(int argc, char** argv) {
   }
   table.write(std::cout);
   return 0;
+}
+
+}  // namespace
+
+// Any error (a malformed or unknown flag included) ends the run with a
+// message and exit code 1, as in the benches.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "example failed: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -4,6 +4,7 @@
 // long budget sweeps. Users with the real Fashion-MNIST files can point
 // data::load_idx at them and run every experiment on true data.
 #include <cstdio>
+#include <exception>
 #include <iostream>
 
 #include "common/config.h"
@@ -16,7 +17,9 @@
 #include "obs/metrics.h"
 #include "obs/session.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace fedl;
   Flags flags(argc, argv);
   obs::ObsSession session(flags, "info");
@@ -85,4 +88,17 @@ int main(int argc, char** argv) {
   std::remove(ckpt.c_str());
   std::remove(bundle.c_str());
   return 0;
+}
+
+}  // namespace
+
+// Any error (a malformed or unknown flag included) ends the run with a
+// message and exit code 1, as in the benches.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "example failed: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -2,6 +2,7 @@
 // verify that FedL's online learner discovers the fast half from latency
 // feedback alone — the "explore the best clients" behaviour §6.2 credits
 // for FedL's wins — while FedAvg keeps paying for stragglers.
+#include <exception>
 #include <iostream>
 
 #include "common/config.h"
@@ -12,7 +13,9 @@
 #include "harness/report.h"
 #include "obs/session.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace fedl;
   Flags flags(argc, argv);
   obs::ObsSession session(flags, "info");
@@ -67,4 +70,17 @@ int main(int argc, char** argv) {
   std::cout << "\nFedL total simulated time: " << traces[0].total_time()
             << "s vs FedAvg " << traces[1].total_time() << "s\n";
   return 0;
+}
+
+}  // namespace
+
+// Any error (a malformed or unknown flag included) ends the run with a
+// message and exit code 1, as in the benches.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "example failed: " << e.what() << "\n";
+    return 1;
+  }
 }

@@ -14,6 +14,7 @@
 //   --prom-out=metrics.prom     live Prometheus exposition (periodic flush)
 //   --monitor / --strict-monitor online invariant monitor (anomaly records)
 //   --digest                     per-epoch determinism digest chain
+#include <exception>
 #include <iostream>
 
 #include "common/config.h"
@@ -23,7 +24,9 @@
 #include "obs/metrics.h"
 #include "obs/session.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace fedl;
   Flags flags(argc, argv);
   obs::ObsSession session(flags, "info");
@@ -65,4 +68,17 @@ int main(int argc, char** argv) {
   harness::print_metrics_summary(std::cout,
                                  obs::MetricsRegistry::global().snapshot());
   return 0;
+}
+
+}  // namespace
+
+// Any error (a malformed or unknown flag included) ends the run with a
+// message and exit code 1, as in the benches.
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "example failed: " << e.what() << "\n";
+    return 1;
+  }
 }

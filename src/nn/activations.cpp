@@ -1,16 +1,19 @@
 #include "nn/activations.h"
 
+#include "obs/profile.h"
 #include "tensor/ops.h"
 
 namespace fedl::nn {
 
 Tensor Relu::forward(Tensor input, bool train) {
+  FEDL_PROFILE_SCOPE("nn.relu.forward");
   if (train) {
-    mask_ = Tensor(input.shape());
+    // Every element is overwritten, so a same-shape mask is reused as is.
+    if (mask_.shape() != input.shape()) mask_ = Tensor(input.shape());
     float* m = mask_.data();
     const float* in = input.data();
-    for (std::size_t i = 0; i < input.numel(); ++i)
-      m[i] = in[i] > 0.0f ? 1.0f : 0.0f;
+    const std::size_t n = input.numel();
+    for (std::size_t i = 0; i < n; ++i) m[i] = in[i] > 0.0f ? 1.0f : 0.0f;
   }
   // In-place on the consumed input buffer; no copy.
   relu_inplace(input);
@@ -18,6 +21,7 @@ Tensor Relu::forward(Tensor input, bool train) {
 }
 
 Tensor Relu::backward(const Tensor& grad_output) {
+  FEDL_PROFILE_SCOPE("nn.relu.backward");
   FEDL_CHECK(!mask_.empty()) << "backward before train-mode forward";
   Tensor grad = grad_output;
   mul_inplace(grad, mask_);

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/rng.h"
+#include "obs/profile.h"
 #include "parallel/scheduler.h"
 #include "tensor/gemm.h"
 
@@ -40,6 +41,7 @@ Conv2d::Conv2d(const Conv2d& other)
       grad_bias_(other.grad_bias_) {}
 
 Tensor Conv2d::forward(Tensor input, bool train) {
+  FEDL_PROFILE_SCOPE("nn.conv2d.forward");
   FEDL_CHECK_EQ(input.shape().rank(), 4u);
   FEDL_CHECK_EQ(input.shape()[1], geom_.in_channels);
   FEDL_CHECK_EQ(input.shape()[2], geom_.in_h);
@@ -59,9 +61,12 @@ Tensor Conv2d::forward(Tensor input, bool train) {
   // and its backward cannot clobber the cache.
   Workspace& colws = train ? cols_ : scratch_cols_;
   float* cols = colws.ensure(colr * ncols);
-  leased_parallel_for(0, n, [&](std::size_t s) {
-    im2col(geom_, input.data() + s * image_elems, cols + s * colc, ncols);
-  });
+  {
+    FEDL_PROFILE_SCOPE("nn.conv2d.im2col");
+    leased_parallel_for(0, n, [&](std::size_t s) {
+      im2col(geom_, input.data() + s * image_elems, cols + s * colc, ncols);
+    });
+  }
 
   // One GEMM for the whole batch, bias fused into the write-back:
   // [C_out, colr] x [colr, n*colc] -> [C_out, n*colc], channel-major.
@@ -82,6 +87,7 @@ Tensor Conv2d::forward(Tensor input, bool train) {
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
+  FEDL_PROFILE_SCOPE("nn.conv2d.backward");
   FEDL_CHECK_GT(cached_n_, 0u) << "backward before train-mode forward";
   const std::size_t n = cached_n_;
   const std::size_t oh = geom_.out_h();
@@ -144,9 +150,12 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
        0.0f, dcols);
   Tensor grad_input(Shape{n, geom_.in_channels, geom_.in_h, geom_.in_w});
   float* gi = grad_input.data();
-  leased_parallel_for(0, n, [&](std::size_t s) {
-    col2im(geom_, dcols + s * colc, gi + s * image_elems, ncols);
-  });
+  {
+    FEDL_PROFILE_SCOPE("nn.conv2d.col2im");
+    leased_parallel_for(0, n, [&](std::size_t s) {
+      col2im(geom_, dcols + s * colc, gi + s * image_elems, ncols);
+    });
+  }
   return grad_input;
 }
 

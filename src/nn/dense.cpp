@@ -1,6 +1,7 @@
 #include "nn/dense.h"
 
 #include "common/rng.h"
+#include "obs/profile.h"
 #include "tensor/gemm.h"
 
 namespace fedl::nn {
@@ -15,6 +16,7 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, Rng& rng)
       grad_bias_(Shape{out_features}) {}
 
 Tensor Dense::forward(Tensor input, bool train) {
+  FEDL_PROFILE_SCOPE("nn.dense.forward");
   FEDL_CHECK_EQ(input.shape().rank(), 2u);
   FEDL_CHECK_EQ(input.shape()[1], in_);
   const std::size_t n = input.shape()[0];
@@ -29,6 +31,7 @@ Tensor Dense::forward(Tensor input, bool train) {
 }
 
 Tensor Dense::backward(const Tensor& grad_output) {
+  FEDL_PROFILE_SCOPE("nn.dense.backward");
   FEDL_CHECK(!cached_input_.empty()) << "backward before train-mode forward";
   const std::size_t n = grad_output.shape()[0];
   FEDL_CHECK_EQ(grad_output.shape()[1], out_);

@@ -8,6 +8,7 @@
 #include "obs/profile.h"
 #include "parallel/parallel_for.h"
 #include "parallel/scheduler.h"
+#include "tensor/gemm_stages.h"
 #include "tensor/simd_dispatch.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -26,7 +27,7 @@ namespace {
 // The portable path uses the 6x16 shape so it shares packing, blocking
 // schedule, and per-element accumulation order with AVX2 (only FMA rounding
 // differs).
-constexpr std::size_t kMr = 6;
+using gemm_stages::kMr;
 constexpr std::size_t kNr = 16;
 constexpr std::size_t kNrAvx512 = 32;
 constexpr std::size_t kNrMax = 32;
@@ -42,48 +43,6 @@ constexpr std::size_t kBlockK = 256;
 // (~µs) rivals the GEMM itself. 1e7 flops ≈ a 172³ product; the whole-batch
 // conv/dense GEMMs of a large model clear it, per-sample small ones do not.
 constexpr double kThreadMinFlops = 1e7;
-
-// Packs op(A)'s [mb x kb] block into kMr-row micro-panels: panel ib holds
-// kb steps of kMr consecutive rows, laid out p-major so the micro-kernel
-// reads kMr unit-stride floats per k step. Rows past mb are zero-padded
-// (they produce dead tile rows the write-back never reads).
-void pack_a(bool trans_a, const float* a, std::size_t lda, std::size_t row0,
-            std::size_t col0, std::size_t mb, std::size_t kb, float* out) {
-  for (std::size_t ib = 0; ib < mb; ib += kMr) {
-    const std::size_t rows = std::min(kMr, mb - ib);
-    for (std::size_t p = 0; p < kb; ++p) {
-      for (std::size_t r = 0; r < rows; ++r)
-        out[p * kMr + r] = trans_a ? a[(col0 + p) * lda + (row0 + ib + r)]
-                                   : a[(row0 + ib + r) * lda + (col0 + p)];
-      for (std::size_t r = rows; r < kMr; ++r) out[p * kMr + r] = 0.0f;
-    }
-    out += kMr * kb;
-  }
-}
-
-// Packs op(B)'s [kb x nb] block into nr-column micro-panels, p-major, with
-// zero padding past nb. nr is the active kernel's register-tile width.
-void pack_b(bool trans_b, const float* b, std::size_t ldb, std::size_t row0,
-            std::size_t col0, std::size_t kb, std::size_t nb, std::size_t nr,
-            float* out) {
-  for (std::size_t jb = 0; jb < nb; jb += nr) {
-    const std::size_t cols = std::min(nr, nb - jb);
-    if (!trans_b && cols == nr) {
-      // Fast path: contiguous nr-float rows of B.
-      for (std::size_t p = 0; p < kb; ++p)
-        std::memcpy(out + p * nr, b + (row0 + p) * ldb + (col0 + jb),
-                    nr * sizeof(float));
-    } else {
-      for (std::size_t p = 0; p < kb; ++p) {
-        for (std::size_t c = 0; c < cols; ++c)
-          out[p * nr + c] = trans_b ? b[(col0 + jb + c) * ldb + (row0 + p)]
-                                    : b[(row0 + p) * ldb + (col0 + jb + c)];
-        for (std::size_t c = cols; c < nr; ++c) out[p * nr + c] = 0.0f;
-      }
-    }
-    out += nr * kb;
-  }
-}
 
 // Portable micro-kernel: tile[r][c] = sum_p apanel[p*6+r] * bpanel[p*16+c].
 // Plain nested loops the compiler can unroll/vectorize at the baseline ISA;
@@ -203,32 +162,6 @@ __attribute__((target("avx512f"))) void kernel_6x32_avx512(
 }
 #endif  // FEDL_X86
 
-using MicroKernelFn = void (*)(std::size_t, const float*, const float*,
-                               float*);
-
-// A resolved kernel tier: the micro-kernel plus its register-tile width.
-// Everything downstream (pack_b panel width, tile stride, write-back) is
-// parameterized on nr so tiers can differ in width without duplicating the
-// macro loop.
-struct KernelDesc {
-  MicroKernelFn fn;
-  std::size_t nr;
-};
-
-KernelDesc select_micro_kernel() {
-#ifdef FEDL_X86
-  switch (active_gemm_kernel()) {
-    case GemmKernel::kAvx512:
-      return {kernel_6x32_avx512, kNrAvx512};
-    case GemmKernel::kAvx2Fma:
-      return {kernel_6x16_avx2, kNr};
-    case GemmKernel::kPortable:
-      break;
-  }
-#endif
-  return {kernel_6x16_portable, kNr};
-}
-
 // Dispatch-layer telemetry: call volume and FLOP throughput, plus which
 // micro-kernel tier the dispatcher resolved (0 = portable, 1 = AVX2+FMA,
 // 2 = AVX-512) and how many extra workers the threaded macro loop ran with.
@@ -248,30 +181,156 @@ void note_gemm_threads(std::size_t extra) {
   threaded_workers.add(extra);
 }
 
-// Merges one micro-tile into C: C = alpha*tile + beta_eff*C, plus the fused
-// bias on the final k-panel. beta_eff == 0 must not read C (it may be
-// uninitialized scratch). nr_stride is the tile's row stride (the kernel's
-// register-tile width); nr <= nr_stride columns are live.
+}  // namespace
+
+namespace gemm_stages {
+
+void pack_a(bool trans_a, const float* a, std::size_t lda, std::size_t row0,
+            std::size_t col0, std::size_t mb, std::size_t kb, float* out) {
+  for (std::size_t ib = 0; ib < mb; ib += kMr) {
+    const std::size_t rows = std::min(kMr, mb - ib);
+    for (std::size_t p = 0; p < kb; ++p) {
+      for (std::size_t r = 0; r < rows; ++r)
+        out[p * kMr + r] = trans_a ? a[(col0 + p) * lda + (row0 + ib + r)]
+                                   : a[(row0 + ib + r) * lda + (col0 + p)];
+      for (std::size_t r = rows; r < kMr; ++r) out[p * kMr + r] = 0.0f;
+    }
+    out += kMr * kb;
+  }
+}
+
+namespace {
+
+// Copies kb rows of kW floats (source row stride ld) into a dense panel.
+// The constant width lets the compiler inline each row copy as a few
+// vector moves instead of a library call per 64- or 128-byte row.
+template <std::size_t kW>
+void copy_rows(const float* src, std::size_t ld, std::size_t kb, float* out) {
+  for (std::size_t p = 0; p < kb; ++p)
+    std::memcpy(out + p * kW, src + p * ld, kW * sizeof(float));
+}
+
+// out[p*nr + q] = src[q*ld + p] for q < live, and 0 for live <= q < 4, over
+// p < kb: up to four source rows become four adjacent panel columns, the
+// missing rows padding with zeros. A pure copy; on SSE hosts each 4x4 block
+// is four loads, a register transpose and four stores.
+void transpose_4_rows(const float* src, std::size_t ld, std::size_t live,
+                      std::size_t kb, std::size_t nr, float* out) {
+  std::size_t p = 0;
+#ifdef __SSE__
+  const __m128 zero = _mm_setzero_ps();
+  for (; p + 4 <= kb; p += 4) {
+    __m128 r0 = live > 0 ? _mm_loadu_ps(src + p) : zero;
+    __m128 r1 = live > 1 ? _mm_loadu_ps(src + ld + p) : zero;
+    __m128 r2 = live > 2 ? _mm_loadu_ps(src + 2 * ld + p) : zero;
+    __m128 r3 = live > 3 ? _mm_loadu_ps(src + 3 * ld + p) : zero;
+    _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
+    _mm_storeu_ps(out + p * nr, r0);
+    _mm_storeu_ps(out + (p + 1) * nr, r1);
+    _mm_storeu_ps(out + (p + 2) * nr, r2);
+    _mm_storeu_ps(out + (p + 3) * nr, r3);
+  }
+#endif
+  for (; p < kb; ++p)
+    for (std::size_t q = 0; q < 4; ++q)
+      out[p * nr + q] = q < live ? src[q * ld + p] : 0.0f;
+}
+
+}  // namespace
+
+void pack_b(bool trans_b, const float* b, std::size_t ldb, std::size_t row0,
+            std::size_t col0, std::size_t kb, std::size_t nb, std::size_t nr,
+            float* out) {
+  FEDL_CHECK_EQ(nr % 4, 0u) << "panel width " << nr;
+  for (std::size_t jb = 0; jb < nb; jb += nr) {
+    const std::size_t cols = std::min(nr, nb - jb);
+    if (trans_b) {
+      // op(B) columns are contiguous rows of B: transpose them four rows at
+      // a time, each read in order; the blocks past nb write the padding.
+      for (std::size_t c = 0; c < nr; c += 4) {
+        const std::size_t live = cols > c ? std::min<std::size_t>(4, cols - c)
+                                          : 0;
+        transpose_4_rows(
+            live > 0 ? b + (col0 + jb + c) * ldb + row0 : nullptr, ldb, live,
+            kb, nr, out + c);
+      }
+    } else if (cols == nr && nr == kNrAvx512) {
+      copy_rows<kNrAvx512>(b + row0 * ldb + (col0 + jb), ldb, kb, out);
+    } else if (cols == nr && nr == kNr) {
+      copy_rows<kNr>(b + row0 * ldb + (col0 + jb), ldb, kb, out);
+    } else {
+      // Partial panel: live columns, then zeros, in one select per element
+      // (no library call per short row).
+      for (std::size_t p = 0; p < kb; ++p) {
+        const float* src = b + (row0 + p) * ldb + (col0 + jb);
+        float* o = out + p * nr;
+        for (std::size_t c = 0; c < nr; ++c) o[c] = c < cols ? src[c] : 0.0f;
+      }
+    }
+    out += nr * kb;
+  }
+}
+
+namespace {
+
+// C = alpha*tile [+ beta_eff*C] [+ bias], the mode tests resolved at
+// compile time; each live element sees the same operations in the same
+// order in every specialisation.
+template <bool kReadC, BiasMode kBias>
 void write_back(const float* tile, std::size_t nr_stride, float* c,
                 std::size_t ldc, std::size_t mr, std::size_t nr, float alpha,
-                float beta_eff, BiasMode bias_mode, const float* bias,
-                std::size_t row0, std::size_t col0) {
+                float beta_eff, const float* bias, std::size_t row0,
+                std::size_t col0) {
   for (std::size_t r = 0; r < mr; ++r) {
     float* crow = c + r * ldc;
     const float* trow = tile + r * nr_stride;
-    const float row_bias =
-        bias_mode == BiasMode::kPerRow ? bias[row0 + r] : 0.0f;
+    const float row_bias = kBias == BiasMode::kPerRow ? bias[row0 + r] : 0.0f;
+    const float* col_bias = kBias == BiasMode::kPerCol ? bias + col0 : nullptr;
     for (std::size_t cc = 0; cc < nr; ++cc) {
       float v = alpha * trow[cc];
-      if (beta_eff != 0.0f) v += beta_eff * crow[cc];
-      if (bias_mode == BiasMode::kPerRow) v += row_bias;
-      if (bias_mode == BiasMode::kPerCol) v += bias[col0 + cc];
+      if constexpr (kReadC) v += beta_eff * crow[cc];
+      if constexpr (kBias == BiasMode::kPerRow) v += row_bias;
+      if constexpr (kBias == BiasMode::kPerCol) v += col_bias[cc];
       crow[cc] = v;
     }
   }
 }
 
+template <bool kReadC>
+WriteBackFn write_back_for(BiasMode bias_mode) {
+  switch (bias_mode) {
+    case BiasMode::kPerRow:
+      return write_back<kReadC, BiasMode::kPerRow>;
+    case BiasMode::kPerCol:
+      return write_back<kReadC, BiasMode::kPerCol>;
+    case BiasMode::kNone:
+      break;
+  }
+  return write_back<kReadC, BiasMode::kNone>;
+}
+
 }  // namespace
+
+WriteBackFn select_write_back(bool read_c, BiasMode bias_mode) {
+  return read_c ? write_back_for<true>(bias_mode)
+                : write_back_for<false>(bias_mode);
+}
+
+MicroKernel select_micro_kernel() {
+#ifdef FEDL_X86
+  switch (active_gemm_kernel()) {
+    case GemmKernel::kAvx512:
+      return {kernel_6x32_avx512, kNrAvx512};
+    case GemmKernel::kAvx2Fma:
+      return {kernel_6x16_avx2, kNr};
+    case GemmKernel::kPortable:
+      break;
+  }
+#endif
+  return {kernel_6x16_portable, kNr};
+}
+
+}  // namespace gemm_stages
 
 void gemm_naive(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                 std::size_t k, float alpha, const float* a, const float* b,
@@ -313,8 +372,8 @@ void gemm_bias(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
     }
     return;
   }
-  const KernelDesc kd = select_micro_kernel();
-  const MicroKernelFn micro = kd.fn;
+  const gemm_stages::MicroKernel kd = gemm_stages::select_micro_kernel();
+  const auto micro = kd.fn;
   const std::size_t nr_tile = kd.nr;
 
   // Threaded macro loop: split the m dimension into kMr-row strips and lease
@@ -343,37 +402,46 @@ void gemm_bias(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
   }
 
   // Packing scratch: one shared B panel (packed by the calling thread before
-  // each strip fan-out) plus a per-chunk A micro-panel and C tile so
-  // concurrent strips never share mutable scratch.
+  // each strip fan-out), A micro-panels and a per-chunk C tile, so
+  // concurrent strips never share mutable scratch. With more than one
+  // column block every strip keeps its A panel for the current k-panel
+  // (packed by the first block, reused by the others); with one block a
+  // per-chunk panel suffices and stays in L1.
   const std::size_t nb_cap =
       std::min(kBlockN, (n + nr_tile - 1) / nr_tile * nr_tile);
   const std::size_t kb_cap = std::min(kBlockK, k);
+  const bool keep_a = n > kBlockN;
   std::vector<float> bpack(kb_cap * nb_cap);
-  std::vector<float> apack((extra + 1) * kMr * kb_cap);
+  std::vector<float> apack((keep_a ? n_strips : extra + 1) * kMr * kb_cap);
   std::vector<float> tiles((extra + 1) * kMr * kNrMax);
 
-  for (std::size_t j0 = 0; j0 < n; j0 += kBlockN) {
-    const std::size_t nb = std::min(kBlockN, n - j0);
-    for (std::size_t p0 = 0; p0 < k; p0 += kBlockK) {
-      const std::size_t kb = std::min(kBlockK, k - p0);
-      // First k-panel applies the caller's beta, later panels accumulate;
-      // the bias joins on the last panel so it is added exactly once.
-      const float beta_eff = p0 == 0 ? beta : 1.0f;
-      const BiasMode panel_bias =
-          p0 + kb >= k ? bias_mode : BiasMode::kNone;
-      pack_b(trans_b, b, ldb, p0, j0, kb, nb, nr_tile, bpack.data());
+  // k-panels outermost: each element of C still accumulates its panels in
+  // ascending p0 order, exactly once per panel.
+  for (std::size_t p0 = 0; p0 < k; p0 += kBlockK) {
+    const std::size_t kb = std::min(kBlockK, k - p0);
+    // First k-panel applies the caller's beta, later panels accumulate;
+    // the bias joins on the last panel so it is added exactly once.
+    const float beta_eff = p0 == 0 ? beta : 1.0f;
+    const gemm_stages::WriteBackFn write_back = gemm_stages::select_write_back(
+        beta_eff != 0.0f, p0 + kb >= k ? bias_mode : BiasMode::kNone);
+    for (std::size_t j0 = 0; j0 < n; j0 += kBlockN) {
+      const std::size_t nb = std::min(kBlockN, n - j0);
+      const bool first_block = j0 == 0;
+      gemm_stages::pack_b(trans_b, b, ldb, p0, j0, kb, nb, nr_tile,
+                          bpack.data());
       const auto run_strip = [&](std::size_t chunk, std::size_t s) {
         const std::size_t i0 = s * kMr;
         const std::size_t mr = std::min(kMr, m - i0);
-        float* apanel = apack.data() + chunk * kMr * kb_cap;
+        float* apanel = apack.data() + (keep_a ? s : chunk) * kMr * kb_cap;
         float* tile = tiles.data() + chunk * kMr * kNrMax;
-        pack_a(trans_a, a, lda, i0, p0, mr, kb, apanel);
+        if (first_block)
+          gemm_stages::pack_a(trans_a, a, lda, i0, p0, mr, kb, apanel);
         for (std::size_t jb = 0; jb < nb; jb += nr_tile) {
           const float* bpanel = bpack.data() + (jb / nr_tile) * nr_tile * kb;
           const std::size_t nc = std::min(nr_tile, nb - jb);
           micro(kb, apanel, bpanel, tile);
           write_back(tile, nr_tile, c + i0 * ldc + (j0 + jb), ldc, mr, nc,
-                     alpha, beta_eff, panel_bias, bias, i0, j0 + jb);
+                     alpha, beta_eff, bias, i0, j0 + jb);
         }
       };
       if (extra > 0) {

@@ -1,11 +1,14 @@
 // General matrix multiply, the workhorse behind dense layers and im2col
 // convolution.
 //
-// gemm() is cache-blocked (packed A/B micro-panels) around a 6x16
-// register-blocked micro-kernel with runtime CPU dispatch: an AVX2+FMA
-// implementation on x86 CPUs that support it, a portable unrolled fallback
-// elsewhere (see tensor/simd_dispatch.h for the selection/override policy).
-// The epilogue can fuse a bias vector into the write-back so layers do not
+// gemm() is cache-blocked (packed A/B micro-panels, 256x256 n/k blocks)
+// around a register-blocked micro-kernel chosen once per process by CPU
+// dispatch: a 6x32 AVX-512F tile, a 6x16 AVX2+FMA tile, or a portable 6x16
+// fallback (see tensor/simd_dispatch.h for the selection/override policy).
+// The macro loop fans its 6-row strips out over workers leased from the
+// scheduler's shared budget when the product is large enough; the k-panel
+// loop stays on the caller, so C is bit-identical at any grant. The
+// epilogue can fuse a bias vector into the write-back so layers do not
 // re-stream C. Correctness is verified against gemm_naive in tests with
 // relative-error bounds (the micro-kernel changes accumulation order and
 // uses FMA, so bit-identity with the naive double-accumulator reference is

@@ -34,15 +34,18 @@ double tdot(const Tensor& a, const Tensor& b) {
 void relu_inplace(Tensor& t) {
   float* p = t.data();
   const std::size_t n = t.numel();
-  for (std::size_t i = 0; i < n; ++i)
-    if (p[i] < 0.0f) p[i] = 0.0f;
+  // A select rather than a conditional store, so the loop vectorizes and
+  // random-sign input costs no mispredicts. Only x < 0 is replaced: NaN and
+  // -0.0 pass through unchanged.
+  for (std::size_t i = 0; i < n; ++i) p[i] = p[i] < 0.0f ? 0.0f : p[i];
 }
 
 void mul_inplace(Tensor& y, const Tensor& mask) {
   FEDL_CHECK_EQ(y.numel(), mask.numel());
   float* p = y.data();
   const float* m = mask.data();
-  for (std::size_t i = 0; i < y.numel(); ++i) p[i] *= m[i];
+  const std::size_t n = y.numel();
+  for (std::size_t i = 0; i < n; ++i) p[i] *= m[i];
 }
 
 void axpy(float alpha, std::span<const float> x, std::span<float> y) {

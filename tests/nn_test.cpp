@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
 #include "common/rng.h"
@@ -213,6 +214,38 @@ TEST(MaxPool2d, SelectsMaximaAndRoutesGradient) {
   Tensor gx = p.backward(g);
   EXPECT_EQ(gx.at(0, 0, 0, 1), 10.0f);
   EXPECT_EQ(gx.at(0, 0, 0, 0), 0.0f);
+}
+
+// A window with no value above -inf (all -inf, or NaN) has no argmax by
+// comparison; its gradient must go to an element of that same window, not
+// to element 0 of the batch (another channel here).
+TEST(MaxPool2d, WindowWithoutFiniteMaxRoutesGradientIntoItself) {
+  MaxPool2d p(2, 2);
+  Tensor x(Shape{1, 2, 2, 2});
+  const float inf = std::numeric_limits<float>::infinity();
+  for (std::size_t i = 0; i < 4; ++i) {
+    x[i] = static_cast<float>(i + 1);  // channel 0: max 4 at index 3
+    x[4 + i] = -inf;                   // channel 1: all -inf
+  }
+  Tensor out = p.forward(x, true);
+  ASSERT_EQ(out.numel(), 2u);
+  EXPECT_EQ(out[0], 4.0f);
+  EXPECT_EQ(out[1], -inf);
+  Tensor g(Shape{1, 2, 1, 1});
+  g[0] = 10.0f;
+  g[1] = 7.0f;
+  Tensor gx = p.backward(g);
+  EXPECT_EQ(gx.at(0, 0, 0, 0), 0.0f);
+  EXPECT_EQ(gx.at(0, 0, 1, 1), 10.0f);
+  EXPECT_EQ(gx.at(0, 1, 0, 0), 7.0f);  // the window's first element
+
+  // Same for an all-NaN window.
+  for (std::size_t i = 0; i < 4; ++i)
+    x[4 + i] = std::numeric_limits<float>::quiet_NaN();
+  p.forward(x, true);
+  Tensor gn = p.backward(g);
+  EXPECT_EQ(gn.at(0, 0, 0, 0), 0.0f);
+  EXPECT_EQ(gn.at(0, 1, 0, 0), 7.0f);
 }
 
 TEST(Flatten, RoundTripsShape) {
