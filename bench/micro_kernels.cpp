@@ -172,7 +172,7 @@ void BM_ReluTrain(benchmark::State& state) {
   nn::Relu relu;
   for (auto _ : state) {
     Tensor out = relu.forward(x, true);
-    Tensor g = relu.backward(grad);
+    Tensor g = relu.backward(grad, /*input_grad=*/true);
     benchmark::DoNotOptimize(out.data());
     benchmark::DoNotOptimize(g.data());
   }
@@ -190,7 +190,7 @@ void BM_MaxPoolTrain(benchmark::State& state) {
                                       1.0f, rng);
   for (auto _ : state) {
     Tensor out = pool.forward(x, true);
-    Tensor g = pool.backward(grad);
+    Tensor g = pool.backward(grad, /*input_grad=*/true);
     benchmark::DoNotOptimize(out.data());
     benchmark::DoNotOptimize(g.data());
   }

@@ -33,9 +33,19 @@ double LocalOracle::loss_grad_preloaded(nn::ParamVec* grad) const {
 
 LocalUpdate dane_local_step(const LocalOracle& oracle, const nn::ParamVec& w,
                             const nn::ParamVec& global_grad,
-                            const DaneConfig& cfg, bool scratch_at_w) {
+                            const DaneConfig& cfg) {
+  nn::ParamVec grad_at_w;
+  const double loss_at_w = oracle.loss_grad(w, &grad_at_w);
+  return dane_local_step(oracle, w, global_grad, cfg, loss_at_w, grad_at_w);
+}
+
+LocalUpdate dane_local_step(const LocalOracle& oracle, const nn::ParamVec& w,
+                            const nn::ParamVec& global_grad,
+                            const DaneConfig& cfg, double loss_at_w,
+                            const nn::ParamVec& grad_at_w) {
   const std::size_t p = oracle.dim();
   FEDL_CHECK_EQ(w.size(), p);
+  FEDL_CHECK_EQ(grad_at_w.size(), p);
 
   // Rule-dependent surrogate coefficients:
   //   kDane:    G(d) = F(w+d) + prox/2‖d‖² + linearᵀd, linear = σ2ḡ − ∇F(w)
@@ -46,22 +56,20 @@ LocalUpdate dane_local_step(const LocalOracle& oracle, const nn::ParamVec& w,
       cfg.rule == LocalUpdateRule::kSgd ? 0.0 : cfg.sigma1;
 
   LocalUpdate out;
-  nn::ParamVec local_grad;
-  out.loss_before = scratch_at_w ? oracle.loss_grad_preloaded(&local_grad)
-                                 : oracle.loss_grad(w, &local_grad);
+  out.loss_before = loss_at_w;
   nn::ParamVec linear(p, 0.0f);
   if (use_linear) {
     if (global_grad.empty()) {
       // Bootstrap: treat ḡ = ∇F_k(w), so linear = (σ2 − 1)·∇F_k(w).
       for (std::size_t i = 0; i < p; ++i)
         linear[i] = static_cast<float>((cfg.sigma2 - 1.0) *
-                                       static_cast<double>(local_grad[i]));
+                                       static_cast<double>(grad_at_w[i]));
     } else {
       FEDL_CHECK_EQ(global_grad.size(), p);
       for (std::size_t i = 0; i < p; ++i)
         linear[i] = static_cast<float>(
             cfg.sigma2 * static_cast<double>(global_grad[i]) -
-            static_cast<double>(local_grad[i]));
+            static_cast<double>(grad_at_w[i]));
     }
   }
 
@@ -71,19 +79,18 @@ LocalUpdate dane_local_step(const LocalOracle& oracle, const nn::ParamVec& w,
   nn::OptimizerPtr opt = nn::make_optimizer(cfg.optimizer, cfg.sgd_step);
   nn::ParamVec d(p, 0.0f);
   nn::ParamVec shifted = w;
-  nn::ParamVec grad_f(p);
-  double f_at_d = out.loss_before;
+  nn::ParamVec grad_f;
 
   for (std::size_t step = 0; step < cfg.sgd_steps; ++step) {
-    // ∇G(d) = ∇F_k(w + d) + prox·d + linear.
-    nn::ParamVec g(p);
-    if (step == 0) {
-      grad_f = local_grad;  // already computed at w (= w + 0)
-    } else {
-      f_at_d = oracle.loss_grad(shifted, &grad_f);
+    // ∇G(d) = ∇F_k(w + d) + prox·d + linear; at step 0, d = 0.
+    const nn::ParamVec* grad_at_d = &grad_at_w;
+    if (step > 0) {
+      oracle.loss_grad(shifted, &grad_f);
+      grad_at_d = &grad_f;
     }
+    nn::ParamVec g(p);
     for (std::size_t i = 0; i < p; ++i)
-      g[i] = grad_f[i] + static_cast<float>(prox) * d[i] + linear[i];
+      g[i] = (*grad_at_d)[i] + static_cast<float>(prox) * d[i] + linear[i];
     if (cfg.grad_clip > 0.0) clip_norm(g, cfg.grad_clip);
     // The optimizer owns the update direction; track the total correction d
     // and the shifted parameters together.
@@ -93,7 +100,7 @@ LocalUpdate dane_local_step(const LocalOracle& oracle, const nn::ParamVec& w,
   }
 
   // Final surrogate value and gradient for the η estimate.
-  f_at_d = oracle.loss_grad(shifted, &grad_f);
+  const double f_at_d = oracle.loss_grad(shifted, &grad_f);
   out.loss_after = f_at_d;
   double g_sq = 0.0;
   double lin_dot = 0.0;

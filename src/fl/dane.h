@@ -84,15 +84,25 @@ class LocalOracle {
   const nn::Batch* batch_;
 };
 
-// Runs the configured surrogate minimization. `global_grad` is ḡ (σ2 term);
-// passing an empty vector treats ḡ = ∇F_k(w) (first iteration bootstrap,
-// making the linear term vanish when σ2 = 1). Ignored by kFedProx/kSgd.
-// `scratch_at_w`: the oracle's scratch model already holds w, so the
-// initial F_k(w) evaluation skips its set_params_flat copy (shifted-point
-// evaluations always set params — they trigger the replicas'
-// copy-on-write). Bit-identical either way.
+// Runs the configured surrogate minimization from w. `global_grad` is ḡ
+// (σ2 term); passing an empty vector treats ḡ = ∇F_k(w) (first iteration
+// bootstrap, making the linear term vanish when σ2 = 1). Ignored by
+// kFedProx/kSgd. `loss_at_w` and `grad_at_w` are F_k(w) and ∇F_k(w) on the
+// oracle's batch: the lockstep engine's gradient phase has just computed
+// them for ḡ, so the step starts from them (read in place, not copied)
+// instead of repeating that forward/backward pass. Every other evaluation
+// sets the oracle's scratch params to the shifted point (replicas detach
+// copy-on-write), so the scratch model need not hold w on entry.
 LocalUpdate dane_local_step(const LocalOracle& oracle, const nn::ParamVec& w,
                             const nn::ParamVec& global_grad,
-                            const DaneConfig& cfg, bool scratch_at_w = false);
+                            const DaneConfig& cfg, double loss_at_w,
+                            const nn::ParamVec& grad_at_w);
+
+// Same, evaluating F_k(w) and ∇F_k(w) first (callers without a gradient
+// phase, e.g. the event path's local trajectories). Bit-identical to
+// passing them in.
+LocalUpdate dane_local_step(const LocalOracle& oracle, const nn::ParamVec& w,
+                            const nn::ParamVec& global_grad,
+                            const DaneConfig& cfg);
 
 }  // namespace fedl::fl

@@ -232,16 +232,16 @@ void FlEngine::run_local_jobs(const std::vector<LocalTrainJob>& jobs,
     res = LocalTrainResult{};
     // Local trajectory: w_local starts at the dispatch-time global model
     // and walks its own DANE steps with ḡ = ∇F_k(w_local) (empty
-    // global_grad). Every evaluation sets the scratch params explicitly
-    // (scratch_at_w = false), so serial runs can reuse model_ across jobs
-    // and replicas copy-on-write detach safely — bit-identical either way.
+    // global_grad). There is no gradient phase, so each step evaluates its
+    // own starting point; every evaluation sets the scratch params
+    // explicitly, so serial runs can reuse model_ across jobs and replicas
+    // copy-on-write detach safely — bit-identical either way.
     nn::ParamVec& w_local = local_w_[i];
     w_local = w_;
     const nn::ParamVec no_global_grad;
     for (std::size_t it = 0; it < jobs[i].iterations; ++it) {
       const LocalUpdate u =
-          dane_local_step(oracle, w_local, no_global_grad, cfg_.dane,
-                          /*scratch_at_w=*/false);
+          dane_local_step(oracle, w_local, no_global_grad, cfg_.dane);
       axpy(1.0f, u.d, w_local);
       res.eta = std::max(res.eta, u.eta);
       res.loss_reduction += u.loss_before - u.loss_after;
@@ -328,6 +328,7 @@ EpochOutcome FlEngine::run_epoch(const std::vector<std::size_t>& selected,
     // below are deterministic at any thread count (bit-identical to running
     // the clients inline).
     if (grads_.size() < s) grads_.resize(s);
+    losses_.resize(s);
     if (updates_.size() < s) updates_.resize(s);
     if (compressed_.size() < s) compressed_.resize(s);
     gbar_.resize(p);
@@ -354,8 +355,9 @@ EpochOutcome FlEngine::run_epoch(const std::vector<std::size_t>& selected,
       for (std::size_t i : alive_idx_) ++out.client_completed_iters[i];
       client_iterations_counter().add(alive_idx_.size());
 
-      // Phase 1 (clients, concurrent): local gradients ∇F_k(w); then the
-      // server reduces ḡ = Σ ϑ_k ∇F_k(w) in client order.
+      // Phase 1 (clients, concurrent): local losses F_k(w) and gradients
+      // ∇F_k(w); then the server reduces ḡ = Σ ϑ_k ∇F_k(w) in client order.
+      // Both stay in losses_/grads_ as the starting point of phase 2.
       {
         FEDL_PROFILE_SCOPE("fl.grad_phase");
         run_clients(alive_idx_, [&](std::size_t slot, std::size_t i) {
@@ -366,7 +368,7 @@ EpochOutcome FlEngine::run_epoch(const std::vector<std::size_t>& selected,
           // so the evaluation skips the per-client O(|w|) copy.
           if (m != &model_) m->attach_params(model_);
           LocalOracle oracle(m, &batches_[i]);
-          oracle.loss_grad_preloaded(&grads_[i]);
+          losses_[i] = oracle.loss_grad_preloaded(&grads_[i]);
         });
       }
       std::fill(gbar_.begin(), gbar_.end(), 0.0f);
@@ -380,17 +382,13 @@ EpochOutcome FlEngine::run_epoch(const std::vector<std::size_t>& selected,
         FEDL_PROFILE_SCOPE("fl.dane_phase");
         run_clients(alive_idx_, [&](std::size_t slot, std::size_t i) {
           FEDL_PROFILE_SCOPE("fl.client_dane");
-          nn::Model* m = client_scratch(slot);
-          const bool shared = m != &model_;
-          if (shared) m->attach_params(model_);
-          LocalOracle oracle(m, &batches_[i]);
-          // Shared replicas start at w (borrowed), so the initial F_k(w)
-          // evaluation is preloaded; the shifted-point evaluations inside
-          // detach the replica's params into private step buffers
-          // (copy-on-write) and never touch model_. The serial path keeps
-          // the classic set-params-first behavior — bit-identical.
-          updates_[i] =
-              dane_local_step(oracle, w_, gbar_, cfg_.dane, shared);
+          // The step starts from phase 1's F_k(w) and ∇F_k(w). Each of its
+          // evaluations sets the scratch params to a shifted point, so a
+          // replica needs no re-attach: its params detach into private step
+          // buffers (copy-on-write) and never touch model_.
+          LocalOracle oracle(client_scratch(slot), &batches_[i]);
+          updates_[i] = dane_local_step(oracle, w_, gbar_, cfg_.dane,
+                                        losses_[i], grads_[i]);
           compressed_[i] = compressor_->apply(updates_[i].d, selected[i]);
         });
       }

@@ -177,8 +177,9 @@ class FlEngine {
   // Scratch model for fan-out slot `slot`: a shared-weight replica when
   // training in parallel, the engine's own model when serial. Replicas are
   // interchangeable across clients — every use re-attaches the global
-  // weights and overwrites gradients/caches — so the pool is keyed by
-  // fan-out slot (≤ thread budget), not by selected client.
+  // weights or sets its params outright, and overwrites gradients/caches —
+  // so the pool is keyed by fan-out slot (≤ thread budget), not by selected
+  // client.
   nn::Model* client_scratch(std::size_t slot);
 
   const data::Dataset* train_;
@@ -204,6 +205,7 @@ class FlEngine {
   // EpochOutcome vectors are the only fresh storage — they are handed out).
   std::vector<nn::Batch> batches_;    // per-selected-client minibatches
   std::vector<nn::ParamVec> grads_;   // per-client ∇F_k(w)
+  std::vector<double> losses_;        // per-client F_k(w)
   std::vector<LocalUpdate> updates_;  // per-client DANE corrections
   std::vector<compress::CompressedUpdate> compressed_;
   nn::ParamVec gbar_;                 // ḡ ordered-reduction buffer

@@ -20,7 +20,7 @@ Tensor Relu::forward(Tensor input, bool train) {
   return input;
 }
 
-Tensor Relu::backward(const Tensor& grad_output) {
+Tensor Relu::backward(const Tensor& grad_output, bool /*input_grad*/) {
   FEDL_PROFILE_SCOPE("nn.relu.backward");
   FEDL_CHECK(!mask_.empty()) << "backward before train-mode forward";
   Tensor grad = grad_output;
@@ -35,7 +35,7 @@ Tensor Flatten::forward(Tensor input, bool train) {
   return input;
 }
 
-Tensor Flatten::backward(const Tensor& grad_output) {
+Tensor Flatten::backward(const Tensor& grad_output, bool /*input_grad*/) {
   Tensor grad = grad_output;
   grad.reshape(in_shape_);
   return grad;

@@ -8,7 +8,7 @@ namespace fedl::nn {
 class Relu : public Layer {
  public:
   Tensor forward(Tensor input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor backward(const Tensor& grad_output, bool input_grad) override;
   LayerPtr clone() const override { return std::make_unique<Relu>(*this); }
   std::string name() const override { return "relu"; }
   std::size_t scratch_bytes() const override { return mask_.owned_bytes(); }
@@ -21,7 +21,7 @@ class Relu : public Layer {
 class Flatten : public Layer {
  public:
   Tensor forward(Tensor input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor backward(const Tensor& grad_output, bool input_grad) override;
   LayerPtr clone() const override { return std::make_unique<Flatten>(*this); }
   std::string name() const override { return "flatten"; }
 

@@ -75,7 +75,8 @@ Tensor Conv2d::forward(Tensor input, bool train) {
             cols, 0.0f, oc, BiasMode::kPerRow, bias_.data());
 
   // Scatter channel-major rows back to NCHW: out[s, c, :] = oc[c, s-slice].
-  Tensor out(Shape{n, out_channels_, oh, ow});
+  // Every element is written by the scatter, so the output skips the fill.
+  Tensor out = Tensor::uninitialized(Shape{n, out_channels_, oh, ow});
   float* dst = out.data();
   leased_parallel_for(0, n, [&](std::size_t s) {
     for (std::size_t c = 0; c < out_channels_; ++c)
@@ -86,7 +87,7 @@ Tensor Conv2d::forward(Tensor input, bool train) {
   return out;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
+Tensor Conv2d::backward(const Tensor& grad_output, bool input_grad) {
   FEDL_PROFILE_SCOPE("nn.conv2d.backward");
   FEDL_CHECK_GT(cached_n_, 0u) << "backward before train-mode forward";
   const std::size_t n = cached_n_;
@@ -143,8 +144,11 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
     grad_bias_[c] += static_cast<float>(acc);
   }
 
-  // dcols = W^T * dOut in one GEMM, then per-sample col2im (samples write
-  // disjoint grad_input slices, so the fan-out is deterministic).
+  // The input gradient, when wanted: dcols = W^T * dOut in one GEMM, then
+  // per-sample col2im (samples write disjoint grad_input slices, so the
+  // fan-out is deterministic). col2im accumulates, so grad_input starts
+  // zeroed.
+  if (!input_grad) return Tensor();
   float* dcols = dcols_.ensure(colr * ncols);
   gemm(true, false, colr, ncols, out_channels_, 1.0f, weight_.data(), dout,
        0.0f, dcols);

@@ -17,10 +17,10 @@ namespace fedl::nn {
 // keeps that column buffer as the backward cache — the input batch itself
 // is never copied. Backward is three batched stages: a deterministic
 // blocked weight-gradient reduction (fixed-size sample blocks reduced in
-// block order, so results are identical at any thread count), one GEMM for
-// the column gradients, and per-sample col2im. All scratch lives in
-// layer-owned Workspaces that are reused across iterations and deliberately
-// not propagated to clones.
+// block order, so results are identical at any thread count), then, only
+// when the input gradient is wanted, one GEMM for the column gradients and
+// per-sample col2im. All scratch lives in layer-owned Workspaces that are
+// reused across iterations and deliberately not propagated to clones.
 class Conv2d : public Layer {
  public:
   // Square kernels; `pad` defaults to "same"-ish (kernel/2) when npos.
@@ -35,7 +35,7 @@ class Conv2d : public Layer {
   Conv2d& operator=(const Conv2d&) = delete;
 
   Tensor forward(Tensor input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor backward(const Tensor& grad_output, bool input_grad) override;
   std::vector<Tensor*> params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> grads() override { return {&grad_weight_, &grad_bias_}; }
   LayerPtr clone() const override { return std::make_unique<Conv2d>(*this); }

@@ -14,7 +14,7 @@ class Dense : public Layer {
   Dense(std::size_t in_features, std::size_t out_features, Rng& rng);
 
   Tensor forward(Tensor input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor backward(const Tensor& grad_output, bool input_grad) override;
   std::vector<Tensor*> params() override { return {&weight_, &bias_}; }
   std::vector<Tensor*> grads() override { return {&grad_weight_, &grad_bias_}; }
   LayerPtr clone() const override { return std::make_unique<Dense>(*this); }

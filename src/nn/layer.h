@@ -28,8 +28,12 @@ class Layer {
 
   // Backward pass: grad w.r.t. this layer's output -> grad w.r.t. its input.
   // Accumulates parameter gradients into the layer's grad buffers (callers
-  // zero them via zero_grad() before a fresh accumulation).
-  virtual Tensor backward(const Tensor& grad_output) = 0;
+  // zero them via zero_grad() before a fresh accumulation). With
+  // `input_grad` false the caller does not read the input gradient (the
+  // model's first layer, whose input is the data): layers with parameters
+  // skip computing it and return an empty tensor; their parameter gradients
+  // are bit-identical either way. Parameterless layers ignore the flag.
+  virtual Tensor backward(const Tensor& grad_output, bool input_grad) = 0;
 
   // Parameter / gradient tensors, in a stable order. Empty for stateless
   // layers.

@@ -55,9 +55,11 @@ EvalResult Model::forward_backward(const Batch& batch) {
   Tensor logits = forward(batch.x, /*train=*/true);
   LossResult lr = softmax_cross_entropy(logits, batch.y);
 
+  // The first layer's input is the batch itself: nothing reads its
+  // gradient, so that layer is told not to compute it.
   Tensor grad = std::move(lr.grad_logits);
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it)
-    grad = (*it)->backward(grad);
+  for (std::size_t i = layers_.size(); i-- > 0;)
+    grad = layers_[i]->backward(grad, /*input_grad=*/i > 0);
 
   double loss = lr.loss;
   if (l2_reg_ > 0.0) {

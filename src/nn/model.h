@@ -71,8 +71,9 @@ class Model {
   Tensor forward(const Tensor& x, bool train);
 
   // Full training step bookkeeping: zeroes grads, runs forward + softmax-CE
-  // + backward, leaves parameter gradients in the layers. Returns loss
-  // (including the L2 term) and batch accuracy.
+  // + backward, leaves parameter gradients in the layers (the first layer
+  // skips its unread input gradient). Returns loss (including the L2 term)
+  // and batch accuracy.
   EvalResult forward_backward(const Batch& batch);
 
   // Loss/accuracy without touching gradients.

@@ -70,8 +70,9 @@ Tensor MaxPool2d::forward(Tensor input, bool train) {
   const std::size_t oh = (h - window_) / stride_ + 1;
   const std::size_t ow = (w - window_) / stride_ + 1;
 
-  Tensor out(Shape{n, c, oh, ow});
-  // Every entry is written below, so a resize without refill suffices.
+  // Every output and argmax entry is written below, so neither is filled
+  // first. The backward's grad_input accumulates and stays zero-filled.
+  Tensor out = Tensor::uninitialized(Shape{n, c, oh, ow});
   if (train) argmax_.resize(out.numel());
   std::size_t* argmax = train ? argmax_.data() : nullptr;
   // The paper's CNNs pool 2x2 (FMNIST) and 3x3 (CIFAR) windows.
@@ -93,7 +94,7 @@ Tensor MaxPool2d::forward(Tensor input, bool train) {
   return out;
 }
 
-Tensor MaxPool2d::backward(const Tensor& grad_output) {
+Tensor MaxPool2d::backward(const Tensor& grad_output, bool /*input_grad*/) {
   FEDL_PROFILE_SCOPE("nn.maxpool2d.backward");
   FEDL_CHECK(!argmax_.empty()) << "backward before train-mode forward";
   FEDL_CHECK(grad_output.shape() == out_shape_);

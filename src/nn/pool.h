@@ -12,7 +12,7 @@ class MaxPool2d : public Layer {
   MaxPool2d(std::size_t window, std::size_t stride);
 
   Tensor forward(Tensor input, bool train) override;
-  Tensor backward(const Tensor& grad_output) override;
+  Tensor backward(const Tensor& grad_output, bool input_grad) override;
   LayerPtr clone() const override { return std::make_unique<MaxPool2d>(*this); }
   std::string name() const override { return "maxpool2d"; }
   std::size_t scratch_bytes() const override {

@@ -43,6 +43,13 @@ std::string Shape::str() const {
 Tensor::Tensor(Shape shape, float fill)
     : shape_(shape), data_(shape.numel(), fill) {}
 
+Tensor Tensor::uninitialized(Shape shape) {
+  Tensor t;
+  t.shape_ = shape;
+  t.data_.resize(shape.numel());
+  return t;
+}
+
 Tensor Tensor::he_normal(Shape shape, std::size_t fan_in, Rng& rng) {
   FEDL_CHECK_GT(fan_in, 0u);
   Tensor t(shape);
@@ -68,7 +75,7 @@ void Tensor::borrow(const Tensor& base) {
   // shared-weight replica O(activations + grads) instead of O(|w|)). A later
   // detach_storage() re-allocates; that one allocation per attach/detach
   // cycle is noise next to the forward/backward work that motivates it.
-  std::vector<float>().swap(data_);
+  decltype(data_)().swap(data_);
 }
 
 void Tensor::detach_storage() {

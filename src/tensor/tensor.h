@@ -19,7 +19,10 @@
 #include <array>
 #include <cstddef>
 #include <initializer_list>
+#include <memory>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -52,6 +55,30 @@ class Shape {
   std::size_t rank_;
 };
 
+// std::allocator whose argument-less construct() default-initializes,
+// which for a trivial type writes nothing: a vector<float> resize() without
+// a fill value leaves the new floats unwritten. Explicit fills (the
+// Tensor(Shape, float) constructor) still write every element.
+template <class T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <class U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <class U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  template <class U>
+  void construct(U*) noexcept {
+    static_assert(std::is_trivially_default_constructible_v<U>);
+  }
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    std::construct_at(p, std::forward<Args>(args)...);
+  }
+};
+
 class Tensor {
  public:
   Tensor() = default;
@@ -59,6 +86,10 @@ class Tensor {
 
   static Tensor zeros(Shape shape) { return Tensor(shape, 0.0f); }
   static Tensor full(Shape shape, float v) { return Tensor(shape, v); }
+  // Storage without the zero-fill, for outputs whose every element the
+  // caller writes before anything reads it (conv and max-pool forward).
+  // Never for buffers that are accumulated into.
+  static Tensor uninitialized(Shape shape);
   // He/Kaiming-style normal init with stddev sqrt(2/fan_in).
   static Tensor he_normal(Shape shape, std::size_t fan_in, Rng& rng);
   static Tensor uniform(Shape shape, float lo, float hi, Rng& rng);
@@ -115,7 +146,7 @@ class Tensor {
 
  private:
   Shape shape_;
-  std::vector<float> data_;
+  std::vector<float, DefaultInitAllocator<float>> data_;
   // Borrowed-view state: non-null means this tensor reads view_[0..view_n_)
   // instead of data_. Copying a borrowed tensor copies the borrow (both
   // alias the same base).

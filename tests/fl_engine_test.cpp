@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include "data/partition.h"
 #include "data/synthetic.h"
 #include "fl/dane.h"
 #include "fl/engine.h"
 #include "nn/factory.h"
+#include "obs/metrics.h"
 
 namespace fedl::fl {
 namespace {
@@ -97,6 +100,96 @@ TEST(Dane, OracleValidatesDimensions) {
   LocalOracle oracle(&model, &batch);
   nn::ParamVec bad(model.num_params() + 1);
   EXPECT_THROW(oracle.loss_grad(bad, nullptr), CheckError);
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+// Every LocalUpdate field, compared byte for byte.
+void expect_same_update(const LocalUpdate& want, const LocalUpdate& got,
+                        const std::string& where) {
+  ASSERT_EQ(want.d.size(), got.d.size()) << where;
+  EXPECT_EQ(std::memcmp(want.d.data(), got.d.data(),
+                        want.d.size() * sizeof(float)),
+            0)
+      << where;
+  EXPECT_TRUE(same_bits(want.eta, got.eta)) << where;
+  EXPECT_TRUE(same_bits(want.loss_before, got.loss_before)) << where;
+  EXPECT_TRUE(same_bits(want.loss_after, got.loss_after)) << where;
+  EXPECT_TRUE(same_bits(want.surrogate_initial, got.surrogate_initial))
+      << where;
+  EXPECT_TRUE(same_bits(want.surrogate_final, got.surrogate_final)) << where;
+  EXPECT_TRUE(same_bits(want.grad_norm, got.grad_norm)) << where;
+}
+
+// The lockstep engine hands dane_local_step the F_k(w) and ∇F_k(w) its
+// gradient phase computed (on a replica borrowing w, or on the serial
+// path's own model). Starting from them must give exactly the update the
+// self-computing call gives, for every rule, optimizer and step count.
+TEST(Dane, SuppliedStartPointMatchesSelfComputedBitForBit) {
+  Rng rng(5);
+  nn::ModelSpec ms;
+  ms.width_scale = 0.05;
+  const nn::Model base = nn::make_fmnist_cnn(ms, rng);
+  nn::Batch batch;
+  batch.x = Tensor::uniform(Shape{10, 1, 28, 28}, -1.0f, 1.0f, rng);
+  for (std::size_t i = 0; i < 10; ++i)
+    batch.y.push_back(static_cast<std::uint8_t>(i % 10));
+  const nn::ParamVec w = base.params_flat();
+  nn::ParamVec gbar(w.size());
+  for (auto& v : gbar) v = static_cast<float>(rng.normal(0.0, 0.05));
+  const nn::ParamVec no_gbar;
+
+  const LocalUpdateRule rules[] = {LocalUpdateRule::kDane,
+                                   LocalUpdateRule::kFedProx,
+                                   LocalUpdateRule::kSgd};
+  const char* optimizers[] = {"sgd", "momentum", "adam"};
+  for (const LocalUpdateRule rule : rules) {
+    for (const char* optimizer : optimizers) {
+      for (const std::size_t steps : {0u, 1u, 3u}) {
+        for (const bool bootstrap : {false, true}) {
+          DaneConfig cfg;
+          cfg.rule = rule;
+          cfg.optimizer = optimizer;
+          cfg.sgd_steps = steps;
+          const nn::ParamVec& global_grad = bootstrap ? no_gbar : gbar;
+          const std::string where =
+              "rule=" + std::to_string(static_cast<int>(rule)) +
+              " opt=" + optimizer + " steps=" + std::to_string(steps) +
+              " bootstrap=" + std::to_string(bootstrap);
+
+          nn::Model own = base.clone();
+          const LocalOracle self_oracle(&own, &batch);
+          const LocalUpdate want =
+              dane_local_step(self_oracle, w, global_grad, cfg);
+
+          // Supplied on an owned model (the serial path).
+          nn::Model owned = base.clone();
+          const LocalOracle owned_oracle(&owned, &batch);
+          nn::ParamVec grad;
+          const double loss = owned_oracle.loss_grad(w, &grad);
+          expect_same_update(want,
+                             dane_local_step(owned_oracle, w, global_grad,
+                                             cfg, loss, grad),
+                             where + " owned");
+
+          // Supplied on a replica borrowing w (the fan-out path); the
+          // shifted-point evaluations must leave the base untouched.
+          nn::Model replica = base.shared_replica();
+          const LocalOracle replica_oracle(&replica, &batch);
+          nn::ParamVec replica_grad;
+          const double replica_loss =
+              replica_oracle.loss_grad_preloaded(&replica_grad);
+          expect_same_update(want,
+                             dane_local_step(replica_oracle, w, global_grad,
+                                             cfg, replica_loss, replica_grad),
+                             where + " replica");
+          ASSERT_EQ(base.params_flat(), w) << where;
+        }
+      }
+    }
+  }
 }
 
 // --- engine ----------------------------------------------------------------------
@@ -234,6 +327,54 @@ TEST(Engine, SetGlobalParamsRoundTrip) {
   EXPECT_EQ(f.engine->global_params(), w);
   EXPECT_THROW(f.engine->set_global_params(nn::ParamVec(w.size() - 1)),
                CheckError);
+}
+
+// Pins the number of forward/backward passes per client-iteration. The
+// logistic model's single Dense is layer 0, so a training pass is two GEMMs
+// (forward, dW; no input gradient) and an evaluation one. Per client and
+// iteration the gradient phase runs one pass and DANE runs sgd_steps more
+// (steps 1.. plus the final η evaluation; step 0 reuses the gradient
+// phase's), and the epilogue evaluates three batches. A duplicate pass or a
+// layer-0 input gradient changes the count.
+TEST(Engine, OnePassPerDaneStepAndNoLayerZeroInputGradient) {
+  const std::size_t clients = 4, dim = 28 * 28;
+  data::TrainTest images = data::make_synthetic_train_test(
+      data::fmnist_like_spec(200, 37), 60);
+  auto flatten = [&](const data::Dataset& d) {
+    Tensor x = d.images();
+    x.reshape(Shape{d.size(), dim});
+    return data::Dataset(std::move(x), d.labels(), d.num_classes());
+  };
+  const data::Dataset train = flatten(images.train);
+  const data::Dataset test = flatten(images.test);
+  Rng prng(37);
+  sim::EnvironmentSpec es;
+  es.num_clients = clients;
+  es.device.seed = 38;
+  es.device.availability_prob = 1.0;
+  es.channel.seed = 39;
+  es.online.seed = 40;
+  sim::EdgeEnvironment env(es, data::partition_iid(train, clients, prng));
+  Rng mrng(41);
+  EngineConfig ec;
+  ec.batch_cap = 16;
+  ec.eval_cap = 40;
+  ec.dane.sgd_steps = 3;
+  FlEngine engine(&train, &test, &env, nn::make_logistic(dim, 10, 1e-3, mrng),
+                  ec);
+
+  const auto& ctx = env.advance_epoch();
+  std::vector<std::size_t> sel;
+  for (const auto& o : ctx.available) sel.push_back(o.id);
+  ASSERT_EQ(sel.size(), clients);
+  const std::size_t iterations = 2;
+  auto gemm_calls = [] {
+    return obs::MetricsRegistry::global().snapshot().counters["gemm.calls"];
+  };
+  const std::uint64_t before = gemm_calls();
+  engine.run_epoch(sel, iterations);
+  const std::uint64_t passes = clients * iterations * (ec.dane.sgd_steps + 1);
+  EXPECT_EQ(gemm_calls() - before, passes * 2 + 3);
 }
 
 TEST(Engine, DeterministicGivenSeeds) {

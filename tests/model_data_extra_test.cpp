@@ -93,10 +93,10 @@ TEST(Dense, GradAccumulatesAcrossBackwardCalls) {
   Tensor x = Tensor::full(Shape{1, 2}, 1.0f);
   Tensor g = Tensor::full(Shape{1, 2}, 1.0f);
   d.forward(x, true);
-  d.backward(g);
+  d.backward(g, /*input_grad=*/true);
   const float once = (*d.grads()[0])[0];
   d.forward(x, true);
-  d.backward(g);
+  d.backward(g, /*input_grad=*/true);
   EXPECT_FLOAT_EQ((*d.grads()[0])[0], 2.0f * once);  // += semantics
   d.zero_grad();
   EXPECT_EQ((*d.grads()[0])[0], 0.0f);

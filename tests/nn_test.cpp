@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 
@@ -174,7 +175,7 @@ TEST(Dense, BackwardBeforeForwardThrows) {
   Rng rng(10);
   Dense d(3, 2, rng);
   Tensor g(Shape{1, 2});
-  EXPECT_THROW(d.backward(g), CheckError);
+  EXPECT_THROW(d.backward(g, /*input_grad=*/true), CheckError);
 }
 
 TEST(Conv2d, OutputShapeSamePadding) {
@@ -211,7 +212,7 @@ TEST(MaxPool2d, SelectsMaximaAndRoutesGradient) {
   EXPECT_EQ(out[0], 5.0f);
   Tensor g(Shape{1, 1, 1, 1});
   g[0] = 10.0f;
-  Tensor gx = p.backward(g);
+  Tensor gx = p.backward(g, /*input_grad=*/true);
   EXPECT_EQ(gx.at(0, 0, 0, 1), 10.0f);
   EXPECT_EQ(gx.at(0, 0, 0, 0), 0.0f);
 }
@@ -234,7 +235,7 @@ TEST(MaxPool2d, WindowWithoutFiniteMaxRoutesGradientIntoItself) {
   Tensor g(Shape{1, 2, 1, 1});
   g[0] = 10.0f;
   g[1] = 7.0f;
-  Tensor gx = p.backward(g);
+  Tensor gx = p.backward(g, /*input_grad=*/true);
   EXPECT_EQ(gx.at(0, 0, 0, 0), 0.0f);
   EXPECT_EQ(gx.at(0, 0, 1, 1), 10.0f);
   EXPECT_EQ(gx.at(0, 1, 0, 0), 7.0f);  // the window's first element
@@ -243,7 +244,7 @@ TEST(MaxPool2d, WindowWithoutFiniteMaxRoutesGradientIntoItself) {
   for (std::size_t i = 0; i < 4; ++i)
     x[4 + i] = std::numeric_limits<float>::quiet_NaN();
   p.forward(x, true);
-  Tensor gn = p.backward(g);
+  Tensor gn = p.backward(g, /*input_grad=*/true);
   EXPECT_EQ(gn.at(0, 0, 0, 0), 0.0f);
   EXPECT_EQ(gn.at(0, 1, 0, 0), 7.0f);
 }
@@ -254,7 +255,7 @@ TEST(Flatten, RoundTripsShape) {
   Tensor out = f.forward(x, true);
   EXPECT_TRUE((out.shape() == Shape{2, 60}));
   Tensor g(Shape{2, 60});
-  Tensor gx = f.backward(g);
+  Tensor gx = f.backward(g, /*input_grad=*/true);
   EXPECT_TRUE((gx.shape() == Shape{2, 3, 4, 5}));
 }
 
@@ -434,6 +435,137 @@ TEST(Model, SharedReplicaCopyOnWriteDetachesFromBase) {
   // attach_params re-establishes sharing after a detach.
   r.attach_params(m);
   EXPECT_EQ(r.params_flat(), base_w);
+}
+
+// --- first-layer input gradient ----------------------------------------------
+
+bool same_bits(const ParamVec& a, const ParamVec& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+// Layers with parameters skip the input gradient when it is not wanted and
+// accumulate exactly the same dW and db.
+TEST(FirstLayer, BackwardWithoutInputGradientKeepsParamGradsBitForBit) {
+  Rng rng(23);
+  auto check = [&](Layer& layer, const Tensor& x) {
+    const Tensor out = layer.forward(x, /*train=*/true);
+    const Tensor g = Tensor::uniform(out.shape(), -1.0f, 1.0f, rng);
+    const std::unique_ptr<Layer> copy = layer.clone();
+    copy->forward(x, /*train=*/true);
+    const Tensor gx = layer.backward(g, /*input_grad=*/true);
+    EXPECT_TRUE(gx.shape() == x.shape());
+    EXPECT_TRUE(copy->backward(g, /*input_grad=*/false).empty());
+    for (std::size_t i = 0; i < layer.grads().size(); ++i) {
+      const Tensor& want = *layer.grads()[i];
+      const Tensor& got = *copy->grads()[i];
+      ASSERT_EQ(want.numel(), got.numel());
+      EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                            want.numel() * sizeof(float)),
+                0)
+          << layer.name() << " grad " << i;
+    }
+  };
+  Conv2d conv(3, 4, 5, 1, 2, 9, 9, rng);
+  check(conv, Tensor::uniform(Shape{10, 3, 9, 9}, -1.0f, 1.0f, rng));
+  Dense dense(12, 5, rng);
+  check(dense, Tensor::uniform(Shape{7, 12}, -1.0f, 1.0f, rng));
+}
+
+// Parameterless pass-through: placed first, it makes the model's real first
+// layer layer 1, which then still computes its input gradient.
+class Identity : public Layer {
+ public:
+  Tensor forward(Tensor input, bool) override { return input; }
+  Tensor backward(const Tensor& grad_output, bool) override {
+    return grad_output;
+  }
+  LayerPtr clone() const override { return std::make_unique<Identity>(); }
+  std::string name() const override { return "identity"; }
+};
+
+// forward_backward on a factory model (layer 0 skips its input gradient)
+// against the same layers behind an Identity (the old full backward): loss
+// and every parameter gradient must be bit-identical. The reference stacks
+// restate the factories' layers; equal parameters pin them to the factory.
+void expect_full_backward_parity(Model& model, Model& reference,
+                                 const Batch& batch) {
+  ASSERT_TRUE(same_bits(model.params_flat(), reference.params_flat()));
+  const EvalResult fast = model.forward_backward(batch);
+  const EvalResult full = reference.forward_backward(batch);
+  EXPECT_EQ(std::memcmp(&fast.loss, &full.loss, sizeof(double)), 0);
+  EXPECT_TRUE(same_bits(model.grads_flat(), reference.grads_flat()));
+}
+
+TEST(FirstLayer, ForwardBackwardMatchesFullBackwardOnEveryModel) {
+  {
+    ModelSpec ms;
+    ms.width_scale = 0.05;  // conv 2, 3 channels; fc 51
+    Rng rng(24), ref_rng(24);
+    Model model = make_fmnist_cnn(ms, rng);
+    Model ref(ms.l2_reg);
+    ref.add(std::make_unique<Identity>());
+    ref.add(std::make_unique<Conv2d>(1, 2, 5, 1, 2, 28, 28, ref_rng));
+    ref.add(std::make_unique<Relu>());
+    ref.add(std::make_unique<MaxPool2d>(2, 2));
+    ref.add(std::make_unique<Conv2d>(2, 3, 5, 1, 2, 14, 14, ref_rng));
+    ref.add(std::make_unique<Relu>());
+    ref.add(std::make_unique<MaxPool2d>(2, 2));
+    ref.add(std::make_unique<Flatten>());
+    ref.add(std::make_unique<Dense>(3 * 7 * 7, 51, ref_rng));
+    ref.add(std::make_unique<Relu>());
+    ref.add(std::make_unique<Dense>(51, 10, ref_rng));
+    // 10 samples: the conv dW reduction runs more than one sample block.
+    const Batch b = make_random_batch(Shape{10, 1, 28, 28}, 10, rng);
+    expect_full_backward_parity(model, ref, b);
+    // The first conv no longer grows its column-gradient scratch.
+    EXPECT_LT(model.owned_bytes(), ref.owned_bytes());
+  }
+  {
+    ModelSpec ms;
+    ms.image_h = ms.image_w = 32;
+    ms.channels = 3;
+    ms.width_scale = 0.05;  // conv 3, 3 channels; fc 19, 10
+    Rng rng(25), ref_rng(25);
+    Model model = make_cifar_cnn(ms, rng);
+    Model ref(ms.l2_reg);
+    ref.add(std::make_unique<Identity>());
+    ref.add(std::make_unique<Conv2d>(3, 3, 5, 1, 2, 32, 32, ref_rng));
+    ref.add(std::make_unique<Relu>());
+    ref.add(std::make_unique<MaxPool2d>(3, 2));
+    ref.add(std::make_unique<Conv2d>(3, 3, 5, 1, 2, 15, 15, ref_rng));
+    ref.add(std::make_unique<Relu>());
+    ref.add(std::make_unique<MaxPool2d>(3, 2));
+    ref.add(std::make_unique<Flatten>());
+    ref.add(std::make_unique<Dense>(3 * 7 * 7, 19, ref_rng));
+    ref.add(std::make_unique<Relu>());
+    ref.add(std::make_unique<Dense>(19, 10, ref_rng));
+    ref.add(std::make_unique<Relu>());
+    ref.add(std::make_unique<Dense>(10, 10, ref_rng));
+    const Batch b = make_random_batch(Shape{9, 3, 32, 32}, 10, rng);
+    expect_full_backward_parity(model, ref, b);
+    EXPECT_LT(model.owned_bytes(), ref.owned_bytes());
+  }
+  {
+    Rng rng(26), ref_rng(26);
+    Model model = make_mlp(6, 10, 4, 0.01, rng);
+    Model ref(0.01);
+    ref.add(std::make_unique<Identity>());
+    ref.add(std::make_unique<Dense>(6, 10, ref_rng));
+    ref.add(std::make_unique<Relu>());
+    ref.add(std::make_unique<Dense>(10, 4, ref_rng));
+    expect_full_backward_parity(model, ref,
+                                make_random_batch(Shape{5, 6}, 4, rng));
+  }
+  {
+    Rng rng(27), ref_rng(27);
+    Model model = make_logistic(10, 3, 0.01, rng);
+    Model ref(0.01);
+    ref.add(std::make_unique<Identity>());
+    ref.add(std::make_unique<Dense>(10, 3, ref_rng));
+    expect_full_backward_parity(model, ref,
+                                make_random_batch(Shape{6, 10}, 3, rng));
+  }
 }
 
 }  // namespace
