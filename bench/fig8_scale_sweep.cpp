@@ -7,7 +7,11 @@
 // environment synthesizes observations in O(|E_t|), no engine runs, and the
 // epoch outcome is a cheap synthetic so observe() gets realistic feedback.
 // Each roster size runs twice: the dense prox solve (width 0, all of E_t)
-// and the pruned solve (--width coordinates after heap-based top-k). The
+// and the pruned solve (--width coordinates after heap-based top-k). Every
+// cell repeats its --epochs sweep kRounds times from the same seed (the
+// decisions are identical round to round, which is checked, so only the
+// timing varies) and reports the median and quartiles of the per-round mean
+// decide latency: one sweep's mean cannot resolve a change under ~30%. The
 // JSON report carries decide-latency and resident-state curves; run_benches
 // stamps it into BENCH_scale.json.
 //
@@ -21,6 +25,8 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/error.h"
+#include "common/stats.h"
 #include "core/fedl_strategy.h"
 #include "obs/json_writer.h"
 #include "obs/session.h"
@@ -28,6 +34,9 @@
 
 namespace fedl::bench {
 namespace {
+
+// Identical repetitions of each cell's sweep.
+constexpr std::size_t kRounds = 9;
 
 struct Cell {
   std::size_t m = 0;            // roster size M
@@ -40,9 +49,15 @@ struct Cell {
   std::size_t active_clients = 0;  // clients holding a pool slot
   std::size_t epochs = 0;
   double selected_mean = 0.0;
+  // Over rounds: quartiles of each round's decide_ms_mean.
+  std::size_t rounds = 1;
+  double decide_ms_q1 = 0.0;
+  double decide_ms_median = 0.0;
+  double decide_ms_q3 = 0.0;
 };
 
-Cell run_cell(std::size_t m, double avail_p, std::size_t width,
+// One round: a fresh environment and strategy run `epochs` epochs.
+Cell run_round(std::size_t m, double avail_p, std::size_t width,
               std::size_t epochs, std::size_t n_min, std::uint64_t seed) {
   sim::EnvironmentSpec spec;
   spec.lazy_sampling = true;
@@ -114,6 +129,36 @@ Cell run_cell(std::size_t m, double avail_p, std::size_t width,
   return cell;
 }
 
+// `rounds` identical rounds. Means and the minimum are over every epoch of
+// every round; the quartiles are over the rounds' decide_ms_mean.
+Cell run_cell(std::size_t m, double avail_p, std::size_t width,
+              std::size_t epochs, std::size_t n_min, std::uint64_t seed,
+              std::size_t rounds) {
+  Cell cell;
+  std::vector<double> decide;
+  for (std::size_t r = 0; r < rounds; ++r) {
+    const Cell round = run_round(m, avail_p, width, epochs, n_min, seed);
+    decide.push_back(round.decide_ms_mean);
+    if (r == 0) {
+      cell = round;
+      continue;
+    }
+    FEDL_CHECK(round.selected_mean == cell.selected_mean &&
+               round.resident_bytes == cell.resident_bytes)
+        << "round " << r << " of M=" << m << " decided differently";
+    cell.decide_ms_mean += round.decide_ms_mean;
+    cell.advance_ms_mean += round.advance_ms_mean;
+    cell.decide_ms_min = std::min(cell.decide_ms_min, round.decide_ms_min);
+  }
+  cell.rounds = rounds;
+  cell.decide_ms_mean /= static_cast<double>(rounds);
+  cell.advance_ms_mean /= static_cast<double>(rounds);
+  cell.decide_ms_q1 = percentile(decide, 25.0);
+  cell.decide_ms_median = percentile(decide, 50.0);
+  cell.decide_ms_q3 = percentile(decide, 75.0);
+  return cell;
+}
+
 void write_json(std::ostream& os, const std::vector<Cell>& cells,
                 std::size_t et_target, std::size_t width) {
   obs::JsonWriter w(os);
@@ -127,11 +172,15 @@ void write_json(std::ostream& os, const std::vector<Cell>& cells,
     w.key("num_clients").value(static_cast<std::uint64_t>(c.m));
     w.key("selection_width").value(static_cast<std::uint64_t>(c.width));
     w.key("epochs").value(static_cast<std::uint64_t>(c.epochs));
+    w.key("rounds").value(static_cast<std::uint64_t>(c.rounds));
     w.key("et_mean").value(c.et_mean);
     w.key("selected_mean").value(c.selected_mean);
     w.key("advance_ms_mean").value(c.advance_ms_mean);
     w.key("decide_ms_mean").value(c.decide_ms_mean);
     w.key("decide_ms_min").value(c.decide_ms_min);
+    w.key("decide_ms_q1").value(c.decide_ms_q1);
+    w.key("decide_ms_median").value(c.decide_ms_median);
+    w.key("decide_ms_q3").value(c.decide_ms_q3);
     w.key("resident_bytes").value(static_cast<std::uint64_t>(c.resident_bytes));
     w.key("active_clients").value(static_cast<std::uint64_t>(c.active_clients));
     w.end_object();
@@ -166,25 +215,26 @@ int scale_main(int argc, char** argv) {
         1.0, static_cast<double>(et_target) / static_cast<double>(m));
     for (std::size_t w : {std::size_t{0}, width}) {
       if (w != 0 && w >= et_target) continue;  // pruning would be a no-op
-      cells.push_back(run_cell(m, p, w, epochs, n_min, seed));
+      cells.push_back(run_cell(m, p, w, epochs, n_min, seed, kRounds));
       const Cell& c = cells.back();
       std::cout << "M=" << c.m << " width=" << c.width
                 << " |E_t|=" << c.et_mean
-                << " decide_ms=" << c.decide_ms_mean
+                << " decide_ms=" << c.decide_ms_median << " ["
+                << c.decide_ms_q1 << ", " << c.decide_ms_q3 << "]"
                 << " advance_ms=" << c.advance_ms_mean
                 << " resident_kb=" << c.resident_bytes / 1024.0
                 << " active=" << c.active_clients << "\n";
     }
   }
 
-  // Headline ratio: dense vs pruned decide latency at the largest M that
-  // ran both paths.
+  // Headline ratio: dense vs pruned median decide latency at the largest M
+  // that ran both paths.
   for (auto it = cells.rbegin(); it != cells.rend(); ++it) {
     if (it->width == 0) continue;
     for (const Cell& d : cells) {
       if (d.m == it->m && d.width == 0) {
         std::cout << "speedup@M=" << d.m << ": "
-                  << d.decide_ms_mean / it->decide_ms_mean << "x\n";
+                  << d.decide_ms_median / it->decide_ms_median << "x\n";
         break;
       }
     }

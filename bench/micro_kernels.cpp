@@ -1,6 +1,7 @@
-// A4: google-benchmark microbenchmarks for the hot kernels — GEMM, im2col/
-// col2im lowering, ReLU and max pooling, convolution, the DANE local step,
-// the intersection projection, and RDCS.
+// A4: google-benchmark microbenchmarks for the hot kernels — GEMM, col2im,
+// ReLU and max pooling, convolution layers and whole CNN train steps at the
+// workloads' shapes, the DANE local step, the intersection projection, and
+// RDCS.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include "data/synthetic.h"
 #include "fl/dane.h"
 #include "nn/activations.h"
+#include "nn/conv2d.h"
 #include "nn/factory.h"
 #include "nn/pool.h"
 #include "solver/projection.h"
@@ -110,9 +112,8 @@ void BM_GemmNaive(benchmark::State& state) {
 BENCHMARK(BM_GemmNaive)->Arg(64)->Arg(128);
 
 // roster_grid's two conv layers (paper FMNIST CNN at width 0.08, batch 24):
-// arg 0 lowers 1 channel at 28x28 (conv 1, 3 output channels), arg 1
-// lowers 3 channels at 14x14 (conv 2, 5 output channels); 5x5 kernels,
-// same padding.
+// arg 0 is conv 1 (1 channel at 28x28, 3 output channels), arg 1 is conv 2
+// (3 channels at 14x14, 5 output channels); 5x5 kernels, same padding.
 constexpr std::size_t kRosterBatch = 24;
 
 Conv2dGeometry roster_conv(std::int64_t layer) {
@@ -125,24 +126,6 @@ Shape roster_activation(std::int64_t layer) {
   return layer == 0 ? Shape{kRosterBatch, 3, 28, 28}
                     : Shape{kRosterBatch, 5, 14, 14};
 }
-
-// Whole-batch lowering as Conv2d::forward does it: every sample into its
-// column slice of one [col_rows, batch*col_cols] buffer.
-void BM_Im2col(benchmark::State& state) {
-  const Conv2dGeometry g = roster_conv(state.range(0));
-  const std::size_t image = g.in_channels * g.in_h * g.in_w;
-  const std::size_t ld = kRosterBatch * g.col_cols();
-  Rng rng(6);
-  std::vector<float> img(kRosterBatch * image);
-  for (auto& v : img) v = static_cast<float>(rng.normal());
-  std::vector<float> cols(g.col_rows() * ld);
-  for (auto _ : state) {
-    for (std::size_t s = 0; s < kRosterBatch; ++s)
-      im2col(g, img.data() + s * image, cols.data() + s * g.col_cols(), ld);
-    benchmark::DoNotOptimize(cols.data());
-  }
-}
-BENCHMARK(BM_Im2col)->Arg(0)->Arg(1);
 
 // The adjoint, as Conv2d::backward runs it into a zeroed gradient batch.
 void BM_Col2im(benchmark::State& state) {
@@ -210,17 +193,71 @@ void BM_CnnForward(benchmark::State& state) {
 }
 BENCHMARK(BM_CnnForward);
 
-// Full training step (forward + backward) over a batch — exercises the
-// whole-batch conv pipeline: batched im2col, one GEMM per layer direction,
-// and the blocked deterministic weight-gradient reduction.
+// The conv layers the workloads run. Arg: 0/1 = FMNIST CNN at width 0.08,
+// batch 24 (roster_grid, async_event) conv 1 (1->3 channels, 28x28) and
+// conv 2 (3->5, 14x14); 2/3 = CIFAR CNN at width 0.25, batch 32 (wide_cnn)
+// conv 1 (3->16, 32x32) and conv 2 (16->16, 15x15). 5x5 kernels, same
+// padding.
+struct WorkloadConv {
+  std::size_t batch, c_in, c_out, hw;
+};
+
+WorkloadConv workload_conv(std::int64_t layer) {
+  static const WorkloadConv kConvs[] = {
+      {24, 1, 3, 28}, {24, 3, 5, 14}, {32, 3, 16, 32}, {32, 16, 16, 15}};
+  return kConvs[layer];
+}
+
+// Train-mode forward (the padded input kept as the backward cache).
+void BM_ConvForward(benchmark::State& state) {
+  const WorkloadConv wc = workload_conv(state.range(0));
+  Rng rng(10);
+  nn::Conv2d conv(wc.c_in, wc.c_out, 5, 2, wc.hw, wc.hw, rng);
+  const Tensor x = Tensor::uniform(Shape{wc.batch, wc.c_in, wc.hw, wc.hw},
+                                   -1.0f, 1.0f, rng);
+  for (auto _ : state) {
+    Tensor out = conv.forward(x, true);
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_ConvForward)->DenseRange(0, 3);
+
+// Backward without the input gradient: dW (8-sample blocks) and db, what
+// a model's first conv runs.
+void BM_ConvWeightGrad(benchmark::State& state) {
+  const WorkloadConv wc = workload_conv(state.range(0));
+  Rng rng(11);
+  nn::Conv2d conv(wc.c_in, wc.c_out, 5, 2, wc.hw, wc.hw, rng);
+  const Tensor x = Tensor::uniform(Shape{wc.batch, wc.c_in, wc.hw, wc.hw},
+                                   -1.0f, 1.0f, rng);
+  const Tensor grad = Tensor::uniform(conv.forward(x, true).shape(), -1.0f,
+                                      1.0f, rng);
+  for (auto _ : state) {
+    Tensor g = conv.backward(grad, /*input_grad=*/false);
+    benchmark::DoNotOptimize(conv.grads()[0]->data());
+  }
+}
+BENCHMARK(BM_ConvWeightGrad)->DenseRange(0, 3);
+
+// Full training step (Model::forward_backward) of the workloads' models:
+// arg 0 = FMNIST CNN at width 0.08, batch 24; arg 1 = CIFAR CNN at width
+// 0.25, batch 32.
 void BM_CnnTrainStep(benchmark::State& state) {
-  const std::size_t batch = static_cast<std::size_t>(state.range(0));
+  const bool cifar = state.range(0) == 1;
+  const std::size_t batch = cifar ? 32 : 24;
   Rng rng(2);
   nn::ModelSpec spec;
-  spec.width_scale = 0.25;
-  nn::Model model = nn::make_fmnist_cnn(spec, rng);
+  spec.width_scale = cifar ? 0.25 : 0.08;
+  if (cifar) {
+    spec.image_h = spec.image_w = 32;
+    spec.channels = 3;
+  }
+  nn::Model model =
+      cifar ? nn::make_cifar_cnn(spec, rng) : nn::make_fmnist_cnn(spec, rng);
   nn::Batch b;
-  b.x = Tensor::uniform(Shape{batch, 1, 28, 28}, -1.0f, 1.0f, rng);
+  b.x = Tensor::uniform(
+      Shape{batch, spec.channels, spec.image_h, spec.image_w}, -1.0f, 1.0f,
+      rng);
   b.y.resize(batch);
   for (auto& y : b.y) y = static_cast<std::uint8_t>(rng.uniform_int(0, 9));
   for (auto _ : state) {
@@ -230,7 +267,7 @@ void BM_CnnTrainStep(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(batch));
 }
-BENCHMARK(BM_CnnTrainStep)->Arg(8)->Arg(32);
+BENCHMARK(BM_CnnTrainStep)->Arg(0)->Arg(1);
 
 void BM_DaneLocalStep(benchmark::State& state) {
   Rng rng(3);

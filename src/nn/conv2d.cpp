@@ -19,21 +19,19 @@ constexpr std::size_t kDwBlockSamples = 8;
 }  // namespace
 
 Conv2d::Conv2d(std::size_t in_channels, std::size_t out_channels,
-               std::size_t kernel, std::size_t stride, std::size_t pad,
-               std::size_t in_h, std::size_t in_w, Rng& rng)
-    : geom_{in_channels, in_h, in_w, kernel, kernel, stride, pad},
+               std::size_t kernel, std::size_t pad, std::size_t in_h,
+               std::size_t in_w, Rng& rng)
+    : conv_(Conv2dGeometry{in_channels, in_h, in_w, kernel, kernel, 1, pad}),
       out_channels_(out_channels),
-      weight_(Tensor::he_normal(Shape{out_channels, geom_.col_rows()},
-                                geom_.col_rows(), rng)),
+      weight_(Tensor::he_normal(
+          Shape{out_channels, conv_.geometry().col_rows()},
+          conv_.geometry().col_rows(), rng)),
       bias_(Shape{out_channels}),
-      grad_weight_(Shape{out_channels, geom_.col_rows()}),
-      grad_bias_(Shape{out_channels}) {
-  FEDL_CHECK_GT(geom_.out_h(), 0u);
-  FEDL_CHECK_GT(geom_.out_w(), 0u);
-}
+      grad_weight_(Shape{out_channels, conv_.geometry().col_rows()}),
+      grad_bias_(Shape{out_channels}) {}
 
 Conv2d::Conv2d(const Conv2d& other)
-    : geom_(other.geom_),
+    : conv_(other.conv_),
       out_channels_(other.out_channels_),
       weight_(other.weight_),
       bias_(other.bias_),
@@ -42,47 +40,22 @@ Conv2d::Conv2d(const Conv2d& other)
 
 Tensor Conv2d::forward(Tensor input, bool train) {
   FEDL_PROFILE_SCOPE("nn.conv2d.forward");
+  const Conv2dGeometry& g = conv_.geometry();
   FEDL_CHECK_EQ(input.shape().rank(), 4u);
-  FEDL_CHECK_EQ(input.shape()[1], geom_.in_channels);
-  FEDL_CHECK_EQ(input.shape()[2], geom_.in_h);
-  FEDL_CHECK_EQ(input.shape()[3], geom_.in_w);
+  FEDL_CHECK_EQ(input.shape()[1], g.in_channels);
+  FEDL_CHECK_EQ(input.shape()[2], g.in_h);
+  FEDL_CHECK_EQ(input.shape()[3], g.in_w);
   const std::size_t n = input.shape()[0];
-  const std::size_t oh = geom_.out_h();
-  const std::size_t ow = geom_.out_w();
-  const std::size_t colr = geom_.col_rows();
-  const std::size_t colc = geom_.col_cols();
-  const std::size_t ncols = n * colc;
-  const std::size_t image_elems = geom_.in_channels * geom_.in_h * geom_.in_w;
 
-  // Lower the whole batch into one [colr, n*colc] column buffer: sample s
-  // owns the column slice [s*colc, (s+1)*colc). Train mode keeps this
-  // buffer as the backward cache (the input itself is not retained). Eval
-  // mode uses separate scratch so an eval forward between a train forward
-  // and its backward cannot clobber the cache.
-  Workspace& colws = train ? cols_ : scratch_cols_;
-  float* cols = colws.ensure(colr * ncols);
-  {
-    FEDL_PROFILE_SCOPE("nn.conv2d.im2col");
-    leased_parallel_for(0, n, [&](std::size_t s) {
-      im2col(geom_, input.data() + s * image_elems, cols + s * colc, ncols);
-    });
-  }
-
-  // One GEMM for the whole batch, bias fused into the write-back:
-  // [C_out, colr] x [colr, n*colc] -> [C_out, n*colc], channel-major.
-  float* oc = out_cols_.ensure(out_channels_ * ncols);
-  gemm_bias(false, false, out_channels_, ncols, colr, 1.0f, weight_.data(),
-            cols, 0.0f, oc, BiasMode::kPerRow, bias_.data());
-
-  // Scatter channel-major rows back to NCHW: out[s, c, :] = oc[c, s-slice].
-  // Every element is written by the scatter, so the output skips the fill.
-  Tensor out = Tensor::uninitialized(Shape{n, out_channels_, oh, ow});
-  float* dst = out.data();
-  leased_parallel_for(0, n, [&](std::size_t s) {
-    for (std::size_t c = 0; c < out_channels_; ++c)
-      std::memcpy(dst + (s * out_channels_ + c) * colc,
-                  oc + c * ncols + s * colc, colc * sizeof(float));
-  });
+  // Train mode pads into the backward cache (the input itself is not
+  // retained); eval mode into separate scratch, so an eval forward between
+  // a train forward and its backward cannot clobber the cache. Every output
+  // element is written by the GEMM, so the output skips the fill.
+  Workspace& padded = train ? padded_ : eval_padded_;
+  Tensor out = Tensor::uninitialized(
+      Shape{n, out_channels_, g.out_h(), g.out_w()});
+  conv_.forward(out_channels_, weight_.data(), bias_.data(), input.data(), n,
+                padded.ensure(n * conv_.padded_floats()), out.data());
   if (train) cached_n_ = n;
   return out;
 }
@@ -91,17 +64,18 @@ Tensor Conv2d::backward(const Tensor& grad_output, bool input_grad) {
   FEDL_PROFILE_SCOPE("nn.conv2d.backward");
   FEDL_CHECK_GT(cached_n_, 0u) << "backward before train-mode forward";
   const std::size_t n = cached_n_;
-  const std::size_t oh = geom_.out_h();
-  const std::size_t ow = geom_.out_w();
-  FEDL_CHECK((grad_output.shape() == Shape{n, out_channels_, oh, ow}));
+  const Conv2dGeometry& g = conv_.geometry();
+  FEDL_CHECK(
+      (grad_output.shape() == Shape{n, out_channels_, g.out_h(), g.out_w()}));
 
-  const std::size_t colr = geom_.col_rows();
-  const std::size_t colc = geom_.col_cols();
+  const std::size_t colr = g.col_rows();
+  const std::size_t colc = g.col_cols();
   const std::size_t ncols = n * colc;
-  const std::size_t image_elems = geom_.in_channels * geom_.in_h * geom_.in_w;
-  const float* cols = cols_.data();
+  const std::size_t image_elems = g.in_channels * g.in_h * g.in_w;
+  const float* padded = padded_.data();
 
-  // Gather grad_output into the channel-major layout matching cols.
+  // Gather grad_output into the channel-major [C_out, N*col_cols] layout
+  // of the column matrix's pixels.
   float* dout = dout_.ensure(out_channels_ * ncols);
   const float* gsrc = grad_output.data();
   leased_parallel_for(0, n, [&](std::size_t s) {
@@ -112,22 +86,22 @@ Tensor Conv2d::backward(const Tensor& grad_output, bool input_grad) {
   });
 
   // dW += dOut * cols^T, reduced over fixed-size sample blocks: each block
-  // is one [C_out, blk*colc] x [blk*colc, colr] GEMM into its own partial,
-  // partials are then summed in block order on the calling thread.
+  // is one [C_out, blk*colc] x [blk*colc, colr] product (cols read from the
+  // padded cache) into its own partial, partials are then summed in block
+  // order on the calling thread. A single block accumulates in place.
   const std::size_t num_blocks = (n + kDwBlockSamples - 1) / kDwBlockSamples;
   const std::size_t wsize = out_channels_ * colr;
   if (num_blocks == 1) {
-    gemm(false, true, out_channels_, colr, ncols, 1.0f, dout, cols, 1.0f,
-         grad_weight_.data());
+    conv_.weight_grad(out_channels_, dout, ncols, padded, n, 1.0f,
+                      grad_weight_.data());
   } else {
     float* partials = dw_partials_.ensure(num_blocks * wsize);
     leased_parallel_for(0, num_blocks, [&](std::size_t b) {
       const std::size_t s0 = b * kDwBlockSamples;
       const std::size_t s1 = std::min(n, s0 + kDwBlockSamples);
-      const std::size_t kblk = (s1 - s0) * colc;
-      gemm_bias(false, true, out_channels_, colr, kblk, 1.0f,
-                dout + s0 * colc, ncols, cols + s0 * colc, ncols, 0.0f,
-                partials + b * wsize, colr, BiasMode::kNone, nullptr);
+      conv_.weight_grad(out_channels_, dout + s0 * colc, ncols,
+                        padded + s0 * conv_.padded_floats(), s1 - s0, 0.0f,
+                        partials + b * wsize);
     });
     float* gw = grad_weight_.data();
     for (std::size_t b = 0; b < num_blocks; ++b) {
@@ -152,12 +126,12 @@ Tensor Conv2d::backward(const Tensor& grad_output, bool input_grad) {
   float* dcols = dcols_.ensure(colr * ncols);
   gemm(true, false, colr, ncols, out_channels_, 1.0f, weight_.data(), dout,
        0.0f, dcols);
-  Tensor grad_input(Shape{n, geom_.in_channels, geom_.in_h, geom_.in_w});
+  Tensor grad_input(Shape{n, g.in_channels, g.in_h, g.in_w});
   float* gi = grad_input.data();
   {
     FEDL_PROFILE_SCOPE("nn.conv2d.col2im");
     leased_parallel_for(0, n, [&](std::size_t s) {
-      col2im(geom_, dcols + s * colc, gi + s * image_elems, ncols);
+      col2im(g, dcols + s * colc, gi + s * image_elems, ncols);
     });
   }
   return grad_input;

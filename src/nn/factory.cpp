@@ -26,14 +26,14 @@ Model make_fmnist_cnn(const ModelSpec& spec, Rng& rng) {
 
   Model m(spec.l2_reg);
   // conv 5x5 (c1), same padding, then 2x2 pool
-  m.add(std::make_unique<Conv2d>(spec.channels, c1, 5, 1, 2, spec.image_h,
+  m.add(std::make_unique<Conv2d>(spec.channels, c1, 5, 2, spec.image_h,
                                  spec.image_w, rng));
   m.add(std::make_unique<Relu>());
   m.add(std::make_unique<MaxPool2d>(2, 2));
   const std::size_t h1 = spec.image_h / 2;
   const std::size_t w1 = spec.image_w / 2;
   // conv 5x5 (c2), same padding, then 2x2 pool
-  m.add(std::make_unique<Conv2d>(c1, c2, 5, 1, 2, h1, w1, rng));
+  m.add(std::make_unique<Conv2d>(c1, c2, 5, 2, h1, w1, rng));
   m.add(std::make_unique<Relu>());
   m.add(std::make_unique<MaxPool2d>(2, 2));
   const std::size_t h2 = h1 / 2;
@@ -53,13 +53,13 @@ Model make_cifar_cnn(const ModelSpec& spec, Rng& rng) {
 
   Model m(spec.l2_reg);
   // conv 5x5 (c1), same padding, then 3x3 pool stride 2
-  m.add(std::make_unique<Conv2d>(spec.channels, c1, 5, 1, 2, spec.image_h,
+  m.add(std::make_unique<Conv2d>(spec.channels, c1, 5, 2, spec.image_h,
                                  spec.image_w, rng));
   m.add(std::make_unique<Relu>());
   m.add(std::make_unique<MaxPool2d>(3, 2));
   const std::size_t h1 = (spec.image_h - 3) / 2 + 1;
   const std::size_t w1 = (spec.image_w - 3) / 2 + 1;
-  m.add(std::make_unique<Conv2d>(c1, c2, 5, 1, 2, h1, w1, rng));
+  m.add(std::make_unique<Conv2d>(c1, c2, 5, 2, h1, w1, rng));
   m.add(std::make_unique<Relu>());
   m.add(std::make_unique<MaxPool2d>(3, 2));
   const std::size_t h2 = (h1 - 3) / 2 + 1;

@@ -45,7 +45,7 @@ class Layer {
   virtual std::unique_ptr<Layer> clone() const = 0;
 
   // Bytes of per-replica scratch this layer pins beyond its parameter and
-  // gradient tensors: activation caches, im2col workspaces. Feeds
+  // gradient tensors: activation caches, conv workspaces. Feeds
   // Model::owned_bytes() and the engine's fl.replica_bytes gauge.
   virtual std::size_t scratch_bytes() const { return 0; }
 

@@ -152,7 +152,7 @@ class Scheduler {
 // extra workers from the scheduler (auto-share nominal, stealing enabled),
 // run body(i) over [begin, end) caller-participating, release the lease.
 // Runs inline when the range is trivial or the budget is saturated — so the
-// compute layers (conv2d im2col/col2im/scatter loops, the GEMM macro loop)
+// compute layers (conv2d per-sample loops and col2im, the GEMM macro loop)
 // can fan out unconditionally and still compose with trial runners and
 // per-client leases without ever oversubscribing. Values never depend on
 // the grant (bodies touch disjoint per-index state by contract).

@@ -19,148 +19,187 @@
 namespace fedl {
 namespace {
 
-// Micro-tile shape: each micro-kernel call produces a MR x NR tile of C from
-// packed A/B micro-panels. All kernels share MR = 6 (so pack_a is
-// tier-independent) and differ in NR: 6x16 needs 12 accumulator registers
-// + 2 B loads + 1 A broadcast = 15 of the 16 YMM registers on the AVX2
-// path; 6x32 uses the same budget out of the 32 ZMM registers on AVX-512.
-// The portable path uses the 6x16 shape so it shares packing, blocking
-// schedule, and per-element accumulation order with AVX2 (only FMA rounding
-// differs).
+// Micro-tile shape: each micro-kernel call produces a MR x NR tile of C.
+// All kernels share MR = 6 (so pack_a is tier-independent) and differ in
+// NR: 6x16 needs 12 accumulator registers + 2 B loads + 1 A broadcast = 15
+// of the 16 YMM registers on the AVX2 path; 6x32 uses the same budget out
+// of the 32 ZMM registers on AVX-512. The portable path uses the 6x16 shape
+// so it shares packing, blocking schedule, and per-element accumulation
+// order with AVX2 (only FMA rounding differs).
 using gemm_stages::kMr;
 constexpr std::size_t kNr = 16;
 constexpr std::size_t kNrAvx512 = 32;
-constexpr std::size_t kNrMax = 32;
 
-// Cache blocks: the packed B panel (kBlockK x kBlockN = 256 KiB) targets L2,
-// packed A micro-panels (kMr x kBlockK = 6 KiB each) stream through L1
-// while one B panel stays resident. Multiples of kMr / kNrMax.
-constexpr std::size_t kBlockN = 256;
-constexpr std::size_t kBlockK = 256;
+// Where a kernel finds row p of B: a packed panel of kW-float rows, or the
+// padded image at a per-row offset from the tile's first pixel. Each tier
+// has one kernel body, instantiated for both.
+template <std::size_t kW>
+struct PanelRows {
+  const float* panel;
+  const float* operator()(std::size_t p) const { return panel + p * kW; }
+};
 
-// Minimum problem size (2*m*n*k flops) before the macro loop asks the
-// scheduler for extra workers: below this the lease + fan-out overhead
-// (~µs) rivals the GEMM itself. 1e7 flops ≈ a 172³ product; the whole-batch
-// conv/dense GEMMs of a large model clear it, per-sample small ones do not.
-constexpr double kThreadMinFlops = 1e7;
+struct OffsetRows {
+  const float* origin;
+  const std::size_t* off;
+  const float* operator()(std::size_t p) const { return origin + off[p]; }
+};
 
-// Portable micro-kernel: tile[r][c] = sum_p apanel[p*6+r] * bpanel[p*16+c].
+// Portable micro-kernel: tile[r][c] = sum_p apanel[p*6+r] * b(p)[c].
 // Plain nested loops the compiler can unroll/vectorize at the baseline ISA;
 // same p-ascending accumulation order as the AVX2 kernel.
 // One tile row at a time: 16 accumulators fit the baseline SSE register
 // file, so they stay register-resident across the whole k walk (a full
-// 6×16 accumulator block spills and runs ~8x slower). The B panel is
-// re-read once per row but is at most kBlockK*kNr floats = 16 KiB — L1.
-void kernel_6x16_portable(std::size_t kb, const float* apanel,
-                          const float* bpanel, float* tile) {
-  for (std::size_t r = 0; r < kMr; ++r) {
-    float acc[kNr] = {0.0f};
-    for (std::size_t p = 0; p < kb; ++p) {
-      const float av = apanel[p * kMr + r];
-      const float* bp = bpanel + p * kNr;
-      for (std::size_t c = 0; c < kNr; ++c) acc[c] += av * bp[c];
+// 6×16 accumulator block spills and runs ~8x slower). B is re-read once
+// per row but is at most kBlockK*kNr floats = 16 KiB (packed) or kb rows
+// read in place — L1.
+struct PortableTier {
+  static constexpr std::size_t kWidth = kNr;
+  template <class Rows>
+  static void run(std::size_t kb, const float* apanel, Rows b, float* tile) {
+    for (std::size_t r = 0; r < kMr; ++r) {
+      float acc[kNr] = {0.0f};
+      for (std::size_t p = 0; p < kb; ++p) {
+        const float av = apanel[p * kMr + r];
+        const float* bp = b(p);
+        for (std::size_t c = 0; c < kNr; ++c) acc[c] += av * bp[c];
+      }
+      std::memcpy(tile + r * kNr, acc, sizeof(acc));
     }
-    std::memcpy(tile + r * kNr, acc, sizeof(acc));
   }
-}
+};
 
 #ifdef FEDL_X86
 // AVX2+FMA micro-kernel. Compiled with a function-level target attribute so
 // the rest of the TU (and the whole build) stays at the baseline ISA; the
 // dispatcher guarantees it only runs on CPUs with AVX2 and FMA.
-__attribute__((target("avx2,fma"))) void kernel_6x16_avx2(
-    std::size_t kb, const float* apanel, const float* bpanel, float* tile) {
-  __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
-  __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
-  __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
-  __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
-  __m256 c40 = _mm256_setzero_ps(), c41 = _mm256_setzero_ps();
-  __m256 c50 = _mm256_setzero_ps(), c51 = _mm256_setzero_ps();
-  for (std::size_t p = 0; p < kb; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(bpanel + p * kNr);
-    const __m256 b1 = _mm256_loadu_ps(bpanel + p * kNr + 8);
-    const float* ap = apanel + p * kMr;
-    __m256 a = _mm256_broadcast_ss(ap + 0);
-    c00 = _mm256_fmadd_ps(a, b0, c00);
-    c01 = _mm256_fmadd_ps(a, b1, c01);
-    a = _mm256_broadcast_ss(ap + 1);
-    c10 = _mm256_fmadd_ps(a, b0, c10);
-    c11 = _mm256_fmadd_ps(a, b1, c11);
-    a = _mm256_broadcast_ss(ap + 2);
-    c20 = _mm256_fmadd_ps(a, b0, c20);
-    c21 = _mm256_fmadd_ps(a, b1, c21);
-    a = _mm256_broadcast_ss(ap + 3);
-    c30 = _mm256_fmadd_ps(a, b0, c30);
-    c31 = _mm256_fmadd_ps(a, b1, c31);
-    a = _mm256_broadcast_ss(ap + 4);
-    c40 = _mm256_fmadd_ps(a, b0, c40);
-    c41 = _mm256_fmadd_ps(a, b1, c41);
-    a = _mm256_broadcast_ss(ap + 5);
-    c50 = _mm256_fmadd_ps(a, b0, c50);
-    c51 = _mm256_fmadd_ps(a, b1, c51);
+struct Avx2Tier {
+  static constexpr std::size_t kWidth = kNr;
+  template <class Rows>
+  __attribute__((target("avx2,fma"))) static void run(std::size_t kb,
+                                                      const float* apanel,
+                                                      Rows b, float* tile) {
+    __m256 c00 = _mm256_setzero_ps(), c01 = _mm256_setzero_ps();
+    __m256 c10 = _mm256_setzero_ps(), c11 = _mm256_setzero_ps();
+    __m256 c20 = _mm256_setzero_ps(), c21 = _mm256_setzero_ps();
+    __m256 c30 = _mm256_setzero_ps(), c31 = _mm256_setzero_ps();
+    __m256 c40 = _mm256_setzero_ps(), c41 = _mm256_setzero_ps();
+    __m256 c50 = _mm256_setzero_ps(), c51 = _mm256_setzero_ps();
+    for (std::size_t p = 0; p < kb; ++p) {
+      const float* bp = b(p);
+      const __m256 b0 = _mm256_loadu_ps(bp);
+      const __m256 b1 = _mm256_loadu_ps(bp + 8);
+      const float* ap = apanel + p * kMr;
+      __m256 a = _mm256_broadcast_ss(ap + 0);
+      c00 = _mm256_fmadd_ps(a, b0, c00);
+      c01 = _mm256_fmadd_ps(a, b1, c01);
+      a = _mm256_broadcast_ss(ap + 1);
+      c10 = _mm256_fmadd_ps(a, b0, c10);
+      c11 = _mm256_fmadd_ps(a, b1, c11);
+      a = _mm256_broadcast_ss(ap + 2);
+      c20 = _mm256_fmadd_ps(a, b0, c20);
+      c21 = _mm256_fmadd_ps(a, b1, c21);
+      a = _mm256_broadcast_ss(ap + 3);
+      c30 = _mm256_fmadd_ps(a, b0, c30);
+      c31 = _mm256_fmadd_ps(a, b1, c31);
+      a = _mm256_broadcast_ss(ap + 4);
+      c40 = _mm256_fmadd_ps(a, b0, c40);
+      c41 = _mm256_fmadd_ps(a, b1, c41);
+      a = _mm256_broadcast_ss(ap + 5);
+      c50 = _mm256_fmadd_ps(a, b0, c50);
+      c51 = _mm256_fmadd_ps(a, b1, c51);
+    }
+    _mm256_storeu_ps(tile + 0 * kNr, c00);
+    _mm256_storeu_ps(tile + 0 * kNr + 8, c01);
+    _mm256_storeu_ps(tile + 1 * kNr, c10);
+    _mm256_storeu_ps(tile + 1 * kNr + 8, c11);
+    _mm256_storeu_ps(tile + 2 * kNr, c20);
+    _mm256_storeu_ps(tile + 2 * kNr + 8, c21);
+    _mm256_storeu_ps(tile + 3 * kNr, c30);
+    _mm256_storeu_ps(tile + 3 * kNr + 8, c31);
+    _mm256_storeu_ps(tile + 4 * kNr, c40);
+    _mm256_storeu_ps(tile + 4 * kNr + 8, c41);
+    _mm256_storeu_ps(tile + 5 * kNr, c50);
+    _mm256_storeu_ps(tile + 5 * kNr + 8, c51);
   }
-  _mm256_storeu_ps(tile + 0 * kNr, c00);
-  _mm256_storeu_ps(tile + 0 * kNr + 8, c01);
-  _mm256_storeu_ps(tile + 1 * kNr, c10);
-  _mm256_storeu_ps(tile + 1 * kNr + 8, c11);
-  _mm256_storeu_ps(tile + 2 * kNr, c20);
-  _mm256_storeu_ps(tile + 2 * kNr + 8, c21);
-  _mm256_storeu_ps(tile + 3 * kNr, c30);
-  _mm256_storeu_ps(tile + 3 * kNr + 8, c31);
-  _mm256_storeu_ps(tile + 4 * kNr, c40);
-  _mm256_storeu_ps(tile + 4 * kNr + 8, c41);
-  _mm256_storeu_ps(tile + 5 * kNr, c50);
-  _mm256_storeu_ps(tile + 5 * kNr + 8, c51);
-}
+};
 
 // AVX-512F micro-kernel: 6x32 tile as 12 ZMM accumulators (2 per row) + 2 B
 // loads + 1 broadcast, mirroring the AVX2 register discipline at twice the
 // width. Same p-ascending accumulation order as the other kernels.
-__attribute__((target("avx512f"))) void kernel_6x32_avx512(
-    std::size_t kb, const float* apanel, const float* bpanel, float* tile) {
-  __m512 c00 = _mm512_setzero_ps(), c01 = _mm512_setzero_ps();
-  __m512 c10 = _mm512_setzero_ps(), c11 = _mm512_setzero_ps();
-  __m512 c20 = _mm512_setzero_ps(), c21 = _mm512_setzero_ps();
-  __m512 c30 = _mm512_setzero_ps(), c31 = _mm512_setzero_ps();
-  __m512 c40 = _mm512_setzero_ps(), c41 = _mm512_setzero_ps();
-  __m512 c50 = _mm512_setzero_ps(), c51 = _mm512_setzero_ps();
-  for (std::size_t p = 0; p < kb; ++p) {
-    const __m512 b0 = _mm512_loadu_ps(bpanel + p * kNrAvx512);
-    const __m512 b1 = _mm512_loadu_ps(bpanel + p * kNrAvx512 + 16);
-    const float* ap = apanel + p * kMr;
-    __m512 a = _mm512_set1_ps(ap[0]);
-    c00 = _mm512_fmadd_ps(a, b0, c00);
-    c01 = _mm512_fmadd_ps(a, b1, c01);
-    a = _mm512_set1_ps(ap[1]);
-    c10 = _mm512_fmadd_ps(a, b0, c10);
-    c11 = _mm512_fmadd_ps(a, b1, c11);
-    a = _mm512_set1_ps(ap[2]);
-    c20 = _mm512_fmadd_ps(a, b0, c20);
-    c21 = _mm512_fmadd_ps(a, b1, c21);
-    a = _mm512_set1_ps(ap[3]);
-    c30 = _mm512_fmadd_ps(a, b0, c30);
-    c31 = _mm512_fmadd_ps(a, b1, c31);
-    a = _mm512_set1_ps(ap[4]);
-    c40 = _mm512_fmadd_ps(a, b0, c40);
-    c41 = _mm512_fmadd_ps(a, b1, c41);
-    a = _mm512_set1_ps(ap[5]);
-    c50 = _mm512_fmadd_ps(a, b0, c50);
-    c51 = _mm512_fmadd_ps(a, b1, c51);
+struct Avx512Tier {
+  static constexpr std::size_t kWidth = kNrAvx512;
+  template <class Rows>
+  __attribute__((target("avx512f"))) static void run(std::size_t kb,
+                                                     const float* apanel,
+                                                     Rows b, float* tile) {
+    __m512 c00 = _mm512_setzero_ps(), c01 = _mm512_setzero_ps();
+    __m512 c10 = _mm512_setzero_ps(), c11 = _mm512_setzero_ps();
+    __m512 c20 = _mm512_setzero_ps(), c21 = _mm512_setzero_ps();
+    __m512 c30 = _mm512_setzero_ps(), c31 = _mm512_setzero_ps();
+    __m512 c40 = _mm512_setzero_ps(), c41 = _mm512_setzero_ps();
+    __m512 c50 = _mm512_setzero_ps(), c51 = _mm512_setzero_ps();
+    for (std::size_t p = 0; p < kb; ++p) {
+      const float* bp = b(p);
+      const __m512 b0 = _mm512_loadu_ps(bp);
+      const __m512 b1 = _mm512_loadu_ps(bp + 16);
+      const float* ap = apanel + p * kMr;
+      __m512 a = _mm512_set1_ps(ap[0]);
+      c00 = _mm512_fmadd_ps(a, b0, c00);
+      c01 = _mm512_fmadd_ps(a, b1, c01);
+      a = _mm512_set1_ps(ap[1]);
+      c10 = _mm512_fmadd_ps(a, b0, c10);
+      c11 = _mm512_fmadd_ps(a, b1, c11);
+      a = _mm512_set1_ps(ap[2]);
+      c20 = _mm512_fmadd_ps(a, b0, c20);
+      c21 = _mm512_fmadd_ps(a, b1, c21);
+      a = _mm512_set1_ps(ap[3]);
+      c30 = _mm512_fmadd_ps(a, b0, c30);
+      c31 = _mm512_fmadd_ps(a, b1, c31);
+      a = _mm512_set1_ps(ap[4]);
+      c40 = _mm512_fmadd_ps(a, b0, c40);
+      c41 = _mm512_fmadd_ps(a, b1, c41);
+      a = _mm512_set1_ps(ap[5]);
+      c50 = _mm512_fmadd_ps(a, b0, c50);
+      c51 = _mm512_fmadd_ps(a, b1, c51);
+    }
+    _mm512_storeu_ps(tile + 0 * kNrAvx512, c00);
+    _mm512_storeu_ps(tile + 0 * kNrAvx512 + 16, c01);
+    _mm512_storeu_ps(tile + 1 * kNrAvx512, c10);
+    _mm512_storeu_ps(tile + 1 * kNrAvx512 + 16, c11);
+    _mm512_storeu_ps(tile + 2 * kNrAvx512, c20);
+    _mm512_storeu_ps(tile + 2 * kNrAvx512 + 16, c21);
+    _mm512_storeu_ps(tile + 3 * kNrAvx512, c30);
+    _mm512_storeu_ps(tile + 3 * kNrAvx512 + 16, c31);
+    _mm512_storeu_ps(tile + 4 * kNrAvx512, c40);
+    _mm512_storeu_ps(tile + 4 * kNrAvx512 + 16, c41);
+    _mm512_storeu_ps(tile + 5 * kNrAvx512, c50);
+    _mm512_storeu_ps(tile + 5 * kNrAvx512 + 16, c51);
   }
-  _mm512_storeu_ps(tile + 0 * kNrAvx512, c00);
-  _mm512_storeu_ps(tile + 0 * kNrAvx512 + 16, c01);
-  _mm512_storeu_ps(tile + 1 * kNrAvx512, c10);
-  _mm512_storeu_ps(tile + 1 * kNrAvx512 + 16, c11);
-  _mm512_storeu_ps(tile + 2 * kNrAvx512, c20);
-  _mm512_storeu_ps(tile + 2 * kNrAvx512 + 16, c21);
-  _mm512_storeu_ps(tile + 3 * kNrAvx512, c30);
-  _mm512_storeu_ps(tile + 3 * kNrAvx512 + 16, c31);
-  _mm512_storeu_ps(tile + 4 * kNrAvx512, c40);
-  _mm512_storeu_ps(tile + 4 * kNrAvx512 + 16, c41);
-  _mm512_storeu_ps(tile + 5 * kNrAvx512, c50);
-  _mm512_storeu_ps(tile + 5 * kNrAvx512 + 16, c51);
-}
+};
 #endif  // FEDL_X86
+
+// The two entry points of a tier (gemm_stages::MicroKernel).
+template <class Tier>
+void panel_kernel(std::size_t kb, const float* apanel, const float* bpanel,
+                  float* tile) {
+  Tier::run(kb, apanel, PanelRows<Tier::kWidth>{bpanel}, tile);
+}
+
+template <class Tier>
+void offset_kernel(std::size_t kb, const float* apanel, const float* origin,
+                   const std::size_t* off, float* tile) {
+  Tier::run(kb, apanel, OffsetRows{origin, off}, tile);
+}
+
+template <class Tier>
+gemm_stages::MicroKernel tier_kernel() {
+  return {panel_kernel<Tier>, offset_kernel<Tier>, Tier::kWidth};
+}
+
+}  // namespace
+
+namespace gemm_stages {
 
 // Dispatch-layer telemetry: call volume and FLOP throughput, plus which
 // micro-kernel tier the dispatcher resolved (0 = portable, 1 = AVX2+FMA,
@@ -180,10 +219,6 @@ void note_gemm_threads(std::size_t extra) {
   threaded_calls.add();
   threaded_workers.add(extra);
 }
-
-}  // namespace
-
-namespace gemm_stages {
 
 void pack_a(bool trans_a, const float* a, std::size_t lda, std::size_t row0,
             std::size_t col0, std::size_t mb, std::size_t kb, float* out) {
@@ -210,20 +245,20 @@ void copy_rows(const float* src, std::size_t ld, std::size_t kb, float* out) {
     std::memcpy(out + p * kW, src + p * ld, kW * sizeof(float));
 }
 
-// out[p*nr + q] = src[q*ld + p] for q < live, and 0 for live <= q < 4, over
-// p < kb: up to four source rows become four adjacent panel columns, the
-// missing rows padding with zeros. A pure copy; on SSE hosts each 4x4 block
-// is four loads, a register transpose and four stores.
-void transpose_4_rows(const float* src, std::size_t ld, std::size_t live,
+}  // namespace
+
+// On SSE hosts each 4x4 block is four loads, a register transpose and four
+// stores; missing rows read as zeros.
+void transpose_4_rows(const float* const* rows, std::size_t live,
                       std::size_t kb, std::size_t nr, float* out) {
   std::size_t p = 0;
 #ifdef __SSE__
   const __m128 zero = _mm_setzero_ps();
   for (; p + 4 <= kb; p += 4) {
-    __m128 r0 = live > 0 ? _mm_loadu_ps(src + p) : zero;
-    __m128 r1 = live > 1 ? _mm_loadu_ps(src + ld + p) : zero;
-    __m128 r2 = live > 2 ? _mm_loadu_ps(src + 2 * ld + p) : zero;
-    __m128 r3 = live > 3 ? _mm_loadu_ps(src + 3 * ld + p) : zero;
+    __m128 r0 = live > 0 ? _mm_loadu_ps(rows[0] + p) : zero;
+    __m128 r1 = live > 1 ? _mm_loadu_ps(rows[1] + p) : zero;
+    __m128 r2 = live > 2 ? _mm_loadu_ps(rows[2] + p) : zero;
+    __m128 r3 = live > 3 ? _mm_loadu_ps(rows[3] + p) : zero;
     _MM_TRANSPOSE4_PS(r0, r1, r2, r3);
     _mm_storeu_ps(out + p * nr, r0);
     _mm_storeu_ps(out + (p + 1) * nr, r1);
@@ -233,10 +268,8 @@ void transpose_4_rows(const float* src, std::size_t ld, std::size_t live,
 #endif
   for (; p < kb; ++p)
     for (std::size_t q = 0; q < 4; ++q)
-      out[p * nr + q] = q < live ? src[q * ld + p] : 0.0f;
+      out[p * nr + q] = q < live ? rows[q][p] : 0.0f;
 }
-
-}  // namespace
 
 void pack_b(bool trans_b, const float* b, std::size_t ldb, std::size_t row0,
             std::size_t col0, std::size_t kb, std::size_t nb, std::size_t nr,
@@ -250,9 +283,10 @@ void pack_b(bool trans_b, const float* b, std::size_t ldb, std::size_t row0,
       for (std::size_t c = 0; c < nr; c += 4) {
         const std::size_t live = cols > c ? std::min<std::size_t>(4, cols - c)
                                           : 0;
-        transpose_4_rows(
-            live > 0 ? b + (col0 + jb + c) * ldb + row0 : nullptr, ldb, live,
-            kb, nr, out + c);
+        const float* rows[4] = {};
+        for (std::size_t q = 0; q < live; ++q)
+          rows[q] = b + (col0 + jb + c + q) * ldb + row0;
+        transpose_4_rows(rows, live, kb, nr, out + c);
       }
     } else if (cols == nr && nr == kNrAvx512) {
       copy_rows<kNrAvx512>(b + row0 * ldb + (col0 + jb), ldb, kb, out);
@@ -320,14 +354,14 @@ MicroKernel select_micro_kernel() {
 #ifdef FEDL_X86
   switch (active_gemm_kernel()) {
     case GemmKernel::kAvx512:
-      return {kernel_6x32_avx512, kNrAvx512};
+      return tier_kernel<Avx512Tier>();
     case GemmKernel::kAvx2Fma:
-      return {kernel_6x16_avx2, kNr};
+      return tier_kernel<Avx2Tier>();
     case GemmKernel::kPortable:
       break;
   }
 #endif
-  return {kernel_6x16_portable, kNr};
+  return tier_kernel<PortableTier>();
 }
 
 }  // namespace gemm_stages
@@ -357,7 +391,7 @@ void gemm_bias(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                std::size_t ldc, BiasMode bias_mode, const float* bias) {
   if (m == 0 || n == 0) return;
   FEDL_PROFILE_SCOPE("tensor.gemm");
-  note_gemm_call(m, n, k);
+  gemm_stages::note_gemm_call(m, n, k);
   if (k == 0) {
     for (std::size_t i = 0; i < m; ++i) {
       float* crow = c + i * ldc;
@@ -373,85 +407,14 @@ void gemm_bias(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
     return;
   }
   const gemm_stages::MicroKernel kd = gemm_stages::select_micro_kernel();
-  const auto micro = kd.fn;
-  const std::size_t nr_tile = kd.nr;
-
-  // Threaded macro loop: split the m dimension into kMr-row strips and lease
-  // extra workers from the shared scheduler budget for the strip loop. The
-  // lease composes with enclosing fan-outs (engine per-client chunks are
-  // charged against the same budget, so a saturated budget grants 0 and the
-  // GEMM runs inline — no oversubscription, no deadlock: Σ granted leases
-  // ≤ budget − runners − 1 ≤ pool size, so every submitted chunk gets a
-  // worker). Determinism: the k loop (p0) stays on the calling thread and
-  // each strip's k-accumulation order is fixed by the blocking schedule, so
-  // C is bit-identical at any grant — workers only change which strip runs
-  // where, and strips write disjoint C rows.
-  const std::size_t n_strips = (m + kMr - 1) / kMr;
-  Scheduler::WorkerLease lease;
-  std::size_t extra = 0;
-  if (n_strips > 1 && 2.0 * static_cast<double>(m) * static_cast<double>(n) *
-                              static_cast<double>(k) >=
-                          kThreadMinFlops) {
-    Scheduler& sched = Scheduler::instance();
-    if (sched.thread_budget() > 1) {
-      lease = sched.acquire_workers(sched.auto_share() - 1, n_strips - 1,
-                                    /*allow_steal=*/true);
-      extra = lease.granted();
-      if (extra > 0) note_gemm_threads(extra);
-    }
-  }
-
-  // Packing scratch: one shared B panel (packed by the calling thread before
-  // each strip fan-out), A micro-panels and a per-chunk C tile, so
-  // concurrent strips never share mutable scratch. With more than one
-  // column block every strip keeps its A panel for the current k-panel
-  // (packed by the first block, reused by the others); with one block a
-  // per-chunk panel suffices and stays in L1.
-  const std::size_t nb_cap =
-      std::min(kBlockN, (n + nr_tile - 1) / nr_tile * nr_tile);
-  const std::size_t kb_cap = std::min(kBlockK, k);
-  const bool keep_a = n > kBlockN;
-  std::vector<float> bpack(kb_cap * nb_cap);
-  std::vector<float> apack((keep_a ? n_strips : extra + 1) * kMr * kb_cap);
-  std::vector<float> tiles((extra + 1) * kMr * kNrMax);
-
-  // k-panels outermost: each element of C still accumulates its panels in
-  // ascending p0 order, exactly once per panel.
-  for (std::size_t p0 = 0; p0 < k; p0 += kBlockK) {
-    const std::size_t kb = std::min(kBlockK, k - p0);
-    // First k-panel applies the caller's beta, later panels accumulate;
-    // the bias joins on the last panel so it is added exactly once.
-    const float beta_eff = p0 == 0 ? beta : 1.0f;
-    const gemm_stages::WriteBackFn write_back = gemm_stages::select_write_back(
-        beta_eff != 0.0f, p0 + kb >= k ? bias_mode : BiasMode::kNone);
-    for (std::size_t j0 = 0; j0 < n; j0 += kBlockN) {
-      const std::size_t nb = std::min(kBlockN, n - j0);
-      const bool first_block = j0 == 0;
-      gemm_stages::pack_b(trans_b, b, ldb, p0, j0, kb, nb, nr_tile,
-                          bpack.data());
-      const auto run_strip = [&](std::size_t chunk, std::size_t s) {
-        const std::size_t i0 = s * kMr;
-        const std::size_t mr = std::min(kMr, m - i0);
-        float* apanel = apack.data() + (keep_a ? s : chunk) * kMr * kb_cap;
-        float* tile = tiles.data() + chunk * kMr * kNrMax;
-        if (first_block)
-          gemm_stages::pack_a(trans_a, a, lda, i0, p0, mr, kb, apanel);
-        for (std::size_t jb = 0; jb < nb; jb += nr_tile) {
-          const float* bpanel = bpack.data() + (jb / nr_tile) * nr_tile * kb;
-          const std::size_t nc = std::min(nr_tile, nb - jb);
-          micro(kb, apanel, bpanel, tile);
-          write_back(tile, nr_tile, c + i0 * ldc + (j0 + jb), ldc, mr, nc,
-                     alpha, beta_eff, bias, i0, j0 + jb);
-        }
-      };
-      if (extra > 0) {
-        parallel_for_shared_indexed(Scheduler::instance().pool(), extra, 0,
-                                    n_strips, run_strip);
-      } else {
-        for (std::size_t s = 0; s < n_strips; ++s) run_strip(0, s);
-      }
-    }
-  }
+  const auto pack = [=](std::size_t p0, std::size_t j0, std::size_t kb,
+                        std::size_t nb, std::size_t nr, float* out) {
+    gemm_stages::pack_b(trans_b, b, ldb, p0, j0, kb, nb, nr, out);
+  };
+  gemm_stages::PanelOperand<decltype(pack)> operand(n, k, kd.nr, pack);
+  gemm_stages::macro_loop({trans_a, m, n, k, alpha, a, lda, beta, c, ldc,
+                           bias_mode, bias},
+                          kd, operand);
 }
 
 void gemm_bias(bool trans_a, bool trans_b, std::size_t m, std::size_t n,

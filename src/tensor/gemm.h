@@ -1,5 +1,6 @@
-// General matrix multiply, the workhorse behind dense layers and im2col
-// convolution.
+// General matrix multiply, the workhorse behind dense layers and the
+// convolution (whose products run the same macro loop in place over a padded
+// input, tensor/implicit_conv.h).
 //
 // gemm() is cache-blocked (packed A/B micro-panels, 256x256 n/k blocks)
 // around a register-blocked micro-kernel chosen once per process by CPU
@@ -38,8 +39,8 @@ void gemm_bias(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                float beta, float* c, BiasMode bias_mode, const float* bias);
 
 // Fully general form with explicit leading dimensions (row strides), for
-// operating on sub-matrix views — e.g. one sample block of a whole-batch
-// column buffer. lda/ldb/ldc are in floats and must be at least the stored
+// operating on sub-matrix views — e.g. one sample block of a channel-major
+// whole-batch buffer. lda/ldb/ldc are in floats and must be at least the stored
 // row length of the respective operand.
 void gemm_bias(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                std::size_t k, float alpha, const float* a, std::size_t lda,

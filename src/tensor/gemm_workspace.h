@@ -1,10 +1,11 @@
 // Reusable float scratch buffers for the compute pipeline.
 //
 // The whole-batch convolution/dense pipeline needs several large scratch
-// surfaces per layer invocation (batched im2col columns, channel-major GEMM
-// outputs, per-block weight-gradient partials). Before PR 2 these lived in
-// `thread_local std::vector`s, which pinned one high-water-mark allocation
-// per pool thread for the life of the process and made ownership invisible.
+// surfaces per layer invocation (the padded input batch, channel-major
+// output gradients and column gradients, per-block weight-gradient
+// partials). Scratch held in `thread_local std::vector`s would pin one
+// high-water-mark allocation per pool thread for the life of the process
+// and make ownership invisible.
 // Instead, each layer owns its Workspace buffers: capacity is retained across
 // iterations (the hot-loop case), sizes track the current batch, and clones
 // start empty (Workspace intentionally does not copy its storage — a cloned

@@ -1,14 +1,21 @@
-// im2col / col2im lowering for convolution.
+// Convolution geometry and col2im, the column-matrix adjoint.
 //
-// Convolution over an NCHW image becomes a GEMM between the filter matrix
-// [C_out, C_in*KH*KW] and the column matrix [C_in*KH*KW, OH*OW]; col2im is
-// the adjoint used in the backward pass.
+// Convolution over an NCHW image is a GEMM between the filter matrix
+// [C_out, C_in*KH*KW] and the column (im2col) matrix [C_in*KH*KW, OH*OW],
+// cols[(c,kh,kw), y*OW + x] = image[c, y+kh-pad, x+kw-pad] (0 outside).
+// The forward and weight-gradient products read that matrix in place from
+// a zero-padded image (tensor/implicit_conv.h) and never build it. The
+// input gradient still goes through it: W^T * dOut gives column
+// gradients, and col2im scatters them back onto the image.
 //
-// Both routines take an optional leading dimension `ld` (distance in floats
-// between consecutive column-matrix rows). With ld > col_cols() a sample's
-// columns can be written directly into its slice of a whole-batch buffer of
-// shape [col_rows, N*col_cols] — one im2col surface, one big GEMM per layer
-// invocation instead of one tiny GEMM per sample (see nn/conv2d.cpp).
+// col2im takes an optional leading dimension `ld` (distance in floats
+// between consecutive column-matrix rows), so one sample's columns can sit
+// in its slice of a whole-batch buffer [col_rows, N*col_cols] (see
+// nn/conv2d.cpp).
+//
+// Every convolution here is stride 1: col2im and ImplicitConv check
+// `stride == 1`. The field stays so geometries print (and name their
+// parameterised tests) as they always have.
 #pragma once
 
 #include <cstddef>
@@ -23,7 +30,7 @@ struct Conv2dGeometry {
   std::size_t in_w;
   std::size_t kernel_h;
   std::size_t kernel_w;
-  std::size_t stride;
+  std::size_t stride;  // must be 1 (checked by col2im and ImplicitConv)
   std::size_t pad;
 
   std::size_t out_h() const { return (in_h + 2 * pad - kernel_h) / stride + 1; }
@@ -32,13 +39,8 @@ struct Conv2dGeometry {
   std::size_t col_cols() const { return out_h() * out_w(); }
 };
 
-// image: one sample, [C, H, W] contiguous; cols: [col_rows, col_cols] slab
-// with row stride `ld` (0 means tightly packed, ld = col_cols()).
-void im2col(const Conv2dGeometry& g, const float* image, float* cols,
-            std::size_t ld = 0);
-
-// Adjoint: accumulate columns (row stride `ld`, 0 = col_cols()) back into
-// the (pre-zeroed) image gradient.
+// Adjoint of the column lowering: accumulate columns (row stride `ld`,
+// 0 = col_cols()) back into the (pre-zeroed) image gradient. Stride 1.
 void col2im(const Conv2dGeometry& g, const float* cols, float* image,
             std::size_t ld = 0);
 

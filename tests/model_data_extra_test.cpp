@@ -7,7 +7,9 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "data/online.h"
 #include "data/partition.h"
@@ -17,6 +19,8 @@
 #include "nn/dense.h"
 #include "nn/factory.h"
 #include "nn/pool.h"
+#include "tensor/im2col.h"
+#include "tensor/implicit_conv.h"
 
 namespace fedl {
 namespace {
@@ -35,19 +39,19 @@ TEST(TensorInit, UniformRespectsBounds) {
   EXPECT_GT(hi, 0.5f);
 }
 
-TEST(ConvGeometry, StrideTwoNoPad) {
-  Rng rng(2);
-  nn::Conv2d c(1, 2, 3, 2, 0, 9, 9, rng);
-  EXPECT_EQ(c.out_h(), 4u);
-  EXPECT_EQ(c.out_w(), 4u);
-  Tensor x(Shape{1, 1, 9, 9});
-  Tensor y = c.forward(x, false);
-  EXPECT_TRUE((y.shape() == Shape{1, 2, 4, 4}));
+TEST(ConvGeometry, StrideOtherThanOneIsRejected) {
+  // Every convolution is stride 1: the implicit GEMM reads neighbouring
+  // output pixels from neighbouring input pixels, and col2im keeps only
+  // the unit-stride scatter. Both check it.
+  const Conv2dGeometry g{1, 9, 9, 3, 3, 2, 0};
+  EXPECT_THROW(ImplicitConv{g}, CheckError);
+  std::vector<float> cols(g.col_rows() * g.col_cols()), image(81);
+  EXPECT_THROW(col2im(g, cols.data(), image.data()), CheckError);
 }
 
 TEST(ConvGeometry, KernelEqualsImage) {
   Rng rng(3);
-  nn::Conv2d c(2, 3, 4, 1, 0, 4, 4, rng);
+  nn::Conv2d c(2, 3, 4, 0, 4, 4, rng);
   EXPECT_EQ(c.out_h(), 1u);
   Tensor x(Shape{2, 2, 4, 4});
   Tensor y = c.forward(x, false);
@@ -57,7 +61,7 @@ TEST(ConvGeometry, KernelEqualsImage) {
 TEST(ConvGeometry, BatchIndependence) {
   // Processing a two-sample batch must equal processing each sample alone.
   Rng rng(4);
-  nn::Conv2d c(1, 2, 3, 1, 1, 5, 5, rng);
+  nn::Conv2d c(1, 2, 3, 1, 5, 5, rng);
   Tensor both = Tensor::uniform(Shape{2, 1, 5, 5}, -1.0f, 1.0f, rng);
   Tensor one(Shape{1, 1, 5, 5});
   for (std::size_t i = 0; i < 25; ++i) one[i] = both[i];

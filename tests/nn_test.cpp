@@ -138,7 +138,7 @@ TEST(GradCheck, MlpWithRelu) {
 TEST(GradCheck, ConvReluPoolDense) {
   Rng rng(7);
   Model m(0.0);
-  m.add(std::make_unique<Conv2d>(2, 3, 3, 1, 1, 6, 6, rng));
+  m.add(std::make_unique<Conv2d>(2, 3, 3, 1, 6, 6, rng));
   m.add(std::make_unique<Relu>());
   m.add(std::make_unique<MaxPool2d>(2, 2));
   m.add(std::make_unique<Flatten>());
@@ -180,7 +180,7 @@ TEST(Dense, BackwardBeforeForwardThrows) {
 
 TEST(Conv2d, OutputShapeSamePadding) {
   Rng rng(11);
-  Conv2d c(1, 4, 5, 1, 2, 28, 28, rng);
+  Conv2d c(1, 4, 5, 2, 28, 28, rng);
   Tensor x(Shape{2, 1, 28, 28});
   Tensor out = c.forward(x, false);
   EXPECT_TRUE((out.shape() == Shape{2, 4, 28, 28}));
@@ -188,7 +188,7 @@ TEST(Conv2d, OutputShapeSamePadding) {
 
 TEST(Conv2d, KnownValueIdentityKernel) {
   Rng rng(12);
-  Conv2d c(1, 1, 1, 1, 0, 2, 2, rng);
+  Conv2d c(1, 1, 1, 0, 2, 2, rng);
   // Force weight = 2, bias = 1.
   auto params = c.params();
   params[0]->fill(2.0f);
@@ -466,7 +466,7 @@ TEST(FirstLayer, BackwardWithoutInputGradientKeepsParamGradsBitForBit) {
           << layer.name() << " grad " << i;
     }
   };
-  Conv2d conv(3, 4, 5, 1, 2, 9, 9, rng);
+  Conv2d conv(3, 4, 5, 2, 9, 9, rng);
   check(conv, Tensor::uniform(Shape{10, 3, 9, 9}, -1.0f, 1.0f, rng));
   Dense dense(12, 5, rng);
   check(dense, Tensor::uniform(Shape{7, 12}, -1.0f, 1.0f, rng));
@@ -505,10 +505,10 @@ TEST(FirstLayer, ForwardBackwardMatchesFullBackwardOnEveryModel) {
     Model model = make_fmnist_cnn(ms, rng);
     Model ref(ms.l2_reg);
     ref.add(std::make_unique<Identity>());
-    ref.add(std::make_unique<Conv2d>(1, 2, 5, 1, 2, 28, 28, ref_rng));
+    ref.add(std::make_unique<Conv2d>(1, 2, 5, 2, 28, 28, ref_rng));
     ref.add(std::make_unique<Relu>());
     ref.add(std::make_unique<MaxPool2d>(2, 2));
-    ref.add(std::make_unique<Conv2d>(2, 3, 5, 1, 2, 14, 14, ref_rng));
+    ref.add(std::make_unique<Conv2d>(2, 3, 5, 2, 14, 14, ref_rng));
     ref.add(std::make_unique<Relu>());
     ref.add(std::make_unique<MaxPool2d>(2, 2));
     ref.add(std::make_unique<Flatten>());
@@ -530,10 +530,10 @@ TEST(FirstLayer, ForwardBackwardMatchesFullBackwardOnEveryModel) {
     Model model = make_cifar_cnn(ms, rng);
     Model ref(ms.l2_reg);
     ref.add(std::make_unique<Identity>());
-    ref.add(std::make_unique<Conv2d>(3, 3, 5, 1, 2, 32, 32, ref_rng));
+    ref.add(std::make_unique<Conv2d>(3, 3, 5, 2, 32, 32, ref_rng));
     ref.add(std::make_unique<Relu>());
     ref.add(std::make_unique<MaxPool2d>(3, 2));
-    ref.add(std::make_unique<Conv2d>(3, 3, 5, 1, 2, 15, 15, ref_rng));
+    ref.add(std::make_unique<Conv2d>(3, 3, 5, 2, 15, 15, ref_rng));
     ref.add(std::make_unique<Relu>());
     ref.add(std::make_unique<MaxPool2d>(3, 2));
     ref.add(std::make_unique<Flatten>());
